@@ -21,10 +21,8 @@ from .simplifier import (
     Candidate,
     SimplificationResult,
     SimplifierConfig,
-    iteration_stats,
     rank_span,
     simplify,
-    simplify_corpus,
     simplify_once,
 )
 from .textproc import Span, Token, detokenize, extract_spans, tokenize
@@ -64,7 +62,6 @@ __all__ = [
     "detokenize",
     "extract_spans",
     "grid_search_alpha",
-    "iteration_stats",
     "load_arpa",
     "load_table",
     "parse_records",
@@ -75,7 +72,6 @@ __all__ = [
     "sg_significance",
     "simplification_gain",
     "simplify",
-    "simplify_corpus",
     "simplify_once",
     "tokenize",
     "train",

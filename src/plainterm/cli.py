@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import statistics
 import sys
 from typing import IO, Sequence
 
 from . import evaluation, ngram_lm, ontology, simplifier, wordfreq
+from .textproc import rows
 
 log = logging.getLogger("plainterm")
 
@@ -69,6 +71,11 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
 
 
 def cmd_simplify(args: argparse.Namespace) -> int:
+    sentences = _read_lines(args.input)
+    for line_no, sentence in enumerate(sentences, start=1):
+        # the original is copied into the output row, so a tab would add columns
+        if "\t" in sentence:
+            raise ValueError(f"line {line_no}: input sentence contains a tab")
     with open(args.table, encoding="utf-8") as fh:
         table = ontology.read_table(fh)
     lm = ngram_lm.load_scorer(args.lm)
@@ -77,8 +84,7 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     config = simplifier.SimplifierConfig(
         alpha=args.alpha, max_iterations=args.max_iterations
     )
-    sentences = [line for line in _read_lines(args.input)]
-    results = simplifier.simplify_corpus(sentences, table, lm, freq, config)
+    results = [simplifier.simplify(s, table, lm, freq, config) for s in sentences]
     out = _open_out(args.output)
     try:
         for res in results:
@@ -90,11 +96,12 @@ def cmd_simplify(args: argparse.Namespace) -> int:
             json.dump({"sentences": [r.to_dict() for r in results]}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if results:
-        stats = simplifier.iteration_stats(results)
+        iterations = [r.iterations for r in results]
         changed = sum(1 for r in results if r.changed)
         print(
             f"simplified {len(results)} sentences: {changed} changed, "
-            f"iterations mean={stats.mean:.2f} median={stats.median:g}",
+            f"iterations mean={statistics.mean(iterations):.2f} "
+            f"median={statistics.median(iterations):g}",
             file=sys.stderr,
         )
     else:
@@ -195,16 +202,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    pairs = []
     with open(args.dev, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ValueError(f"line {line_no}: expected source<TAB>reference, got {len(cols)} columns")
-            pairs.append((cols[0], cols[1]))
+        pairs = [(source, reference) for _, (source, reference) in rows(fh, 2)]
     with open(args.table, encoding="utf-8") as fh:
         table = ontology.read_table(fh)
     lm = ngram_lm.load_scorer(args.lm)

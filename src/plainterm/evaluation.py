@@ -12,7 +12,7 @@ import csv
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,21 +75,34 @@ def simplification_gain(counts: EvalCounts) -> float:
     return (counts.s - counts.f) / counts.total
 
 
+def _csv_rows(stream: IO[str] | Iterable[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, stripped fields) for each CSV row with as many fields as header.
+
+    Blank rows are skipped, and so is a literal header on line 1. Malformed
+    rows raise ValueError naming the line.
+    """
+    reader = csv.reader(stream)
+    try:
+        for row in reader:
+            fields = [cell.strip() for cell in row]
+            if not any(fields) or (reader.line_num == 1 and fields == header):
+                continue
+            if len(fields) != len(header):
+                raise ValueError(f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}")
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
 def load_judgments(stream: IO[str] | Iterable[str]) -> list[JudgmentRecord]:
     """Read sentence_id,system_id,category CSV rows; a literal header is skipped."""
-    reader = csv.reader(stream)
     records: list[JudgmentRecord] = []
-    for row in reader:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if reader.line_num == 1 and [c.strip() for c in row] == ["sentence_id", "system_id", "category"]:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"line {reader.line_num}: expected 3 fields, got {len(row)}")
-        sentence_id, system_id, category = (c.strip() for c in row)
+    for line_no, (sentence_id, system_id, category) in _csv_rows(
+        stream, ["sentence_id", "system_id", "category"]
+    ):
         if category not in CATEGORIES:
             raise ValueError(
-                f"line {reader.line_num}: unknown category {category!r}, expected one of {'/'.join(CATEGORIES)}"
+                f"line {line_no}: unknown category {category!r}, expected one of {'/'.join(CATEGORIES)}"
             )
         records.append(JudgmentRecord(sentence_id, system_id, category))
     return records
@@ -97,17 +110,8 @@ def load_judgments(stream: IO[str] | Iterable[str]) -> list[JudgmentRecord]:
 
 def load_unchanged(stream: IO[str] | Iterable[str]) -> list[tuple[str, str]]:
     """Read sentence_id,system_id CSV rows flagging pairs the system left alone."""
-    reader = csv.reader(stream)
-    flags: list[tuple[str, str]] = []
-    for row in reader:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if reader.line_num == 1 and [c.strip() for c in row] == ["sentence_id", "system_id"]:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"line {reader.line_num}: expected 2 fields, got {len(row)}")
-        flags.append((row[0].strip(), row[1].strip()))
-    return flags
+    pairs = _csv_rows(stream, ["sentence_id", "system_id"])
+    return [(sentence_id, system_id) for _, (sentence_id, system_id) in pairs]
 
 
 def aggregate_judgments(
@@ -286,7 +290,6 @@ def grid_search_alpha(
     freq: FrequencyTable,
     grid: Sequence[float] | None = None,
     max_iterations: int = 5,
-    include_original: bool = True,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick the alpha maximizing mean SARI over (source, reference) dev pairs.
 
@@ -303,9 +306,7 @@ def grid_search_alpha(
     best_alpha: float | None = None
     best_score = -math.inf
     for alpha in points:
-        config = SimplifierConfig(
-            alpha=alpha, max_iterations=max_iterations, include_original=include_original
-        )
+        config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
         scores = [
             sari(source, simplify(source, table, lm, freq, config).final, [reference])
             for source, reference in pairs

@@ -14,6 +14,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Protocol, Sequence
 
+from .textproc import rows
+
 __all__ = [
     "START",
     "STOP",
@@ -116,19 +118,17 @@ class LookupScorer:
 
     @classmethod
     def load(cls, stream: IO[str] | Iterable[str], default: float | None = None) -> "LookupScorer":
-        """Load sentence<TAB>score rows."""
+        """Load sentence<TAB>score rows; scores must be finite numbers."""
         scores: dict[str, float] = {}
-        for line_no, raw in enumerate(stream, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ValueError(f"line {line_no}: expected 2 columns, got {len(cols)}")
+        for line_no, (sentence, text) in rows(stream, 2):
             try:
-                scores[cols[0]] = float(cols[1])
+                score = float(text)
             except ValueError:
-                raise ValueError(f"line {line_no}: bad score {cols[1]!r}") from None
+                raise ValueError(f"line {line_no}: bad score {text!r}") from None
+            # NaN compares false both ways, so it would win a ranking by default
+            if not math.isfinite(score):
+                raise ValueError(f"line {line_no}: score must be finite, got {text!r}")
+            scores[sentence] = score
         return cls(scores, default)
 
 
@@ -256,8 +256,9 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
     if not declared:
         raise ValueError(f"line {i + 1}: no ngram counts declared")
     max_order = max(declared)
-    if sorted(declared) != list(range(1, max_order + 1)):
-        raise ValueError("ngram count declarations must cover orders 1..N")
+    # distinct orders, all >= 1 and as many as the largest: exactly 1..N
+    if min(declared) < 1 or len(declared) != max_order:
+        raise ValueError(f"line {i}: ngram count declarations must cover orders 1..N")
 
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}

@@ -10,10 +10,10 @@ offer no substitution and are dropped.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .textproc import tokenize
+from .textproc import rows, tokenize
 
 __all__ = [
     "Label",
@@ -40,19 +40,14 @@ class ConceptRecord:
     concept_id: str
     label: str
     source: str
-    is_primary: bool
-    line_no: int = 0
 
 
 @dataclass(frozen=True)
 class AlternativeGroup:
-    """A set of interchangeable phrases with per-label source provenance."""
+    """A set of interchangeable phrases."""
 
     group_id: int
     labels: tuple[Label, ...]
-    provenance: dict[Label, tuple[str, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
 
 @dataclass
@@ -60,17 +55,14 @@ class PhraseTable:
     """Alternative groups plus an exact-match index over their labels."""
 
     groups: list[AlternativeGroup]
-    index: dict[Label, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.index:
-            for group in self.groups:
-                for label in group.labels:
-                    if label in self.index:
-                        raise ValueError(
-                            f"label {' '.join(label)!r} appears in more than one group"
-                        )
-                    self.index[label] = group.group_id
+        self.index: dict[Label, int] = {}
+        for group in self.groups:
+            for label in group.labels:
+                if label in self.index:
+                    raise ValueError(f"label {' '.join(label)!r} appears in more than one group")
+                self.index[label] = group.group_id
         self._by_id = {g.group_id: g for g in self.groups}
 
     @classmethod
@@ -128,13 +120,7 @@ def parse_records(stream: IO[str] | Iterable[str]) -> list[ConceptRecord]:
     raises ValueError naming the 1-based line number.
     """
     records: list[ConceptRecord] = []
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise ValueError(f"line {line_no}: expected 4 columns, got {len(cols)}")
+    for line_no, cols in rows(stream, 4):
         concept_id, label, source, flag = (c.strip() for c in cols)
         if not concept_id:
             raise ValueError(f"line {line_no}: empty concept id")
@@ -142,7 +128,7 @@ def parse_records(stream: IO[str] | Iterable[str]) -> list[ConceptRecord]:
             raise ValueError(f"line {line_no}: empty label")
         if flag not in ("P", "A"):
             raise ValueError(f"line {line_no}: flag must be P or A, got {flag!r}")
-        records.append(ConceptRecord(concept_id, label, source, flag == "P", line_no))
+        records.append(ConceptRecord(concept_id, label, source))
     return records
 
 
@@ -177,7 +163,6 @@ def align(records: Iterable[ConceptRecord], expand_plurals: bool = True) -> Phra
     independent of record order.
     """
     labels_by_concept: dict[str, set[Label]] = defaultdict(set)
-    label_sources: dict[Label, set[str]] = defaultdict(set)
     for rec in records:
         base = normalize_label(rec.label)
         if not base:
@@ -187,9 +172,7 @@ def align(records: Iterable[ConceptRecord], expand_plurals: bool = True) -> Phra
             plural = _plural_variant(base)
             if plural:
                 variants.add(plural)
-        for variant in variants:
-            labels_by_concept[rec.concept_id].add(variant)
-            label_sources[variant].add(rec.source)
+        labels_by_concept[rec.concept_id].update(variants)
 
     uf = _UnionFind()
     concepts_by_label: dict[Label, list[str]] = defaultdict(list)
@@ -214,15 +197,9 @@ def align(records: Iterable[ConceptRecord], expand_plurals: bool = True) -> Phra
         keyed.append((min(members), labels))
     keyed.sort(key=lambda item: item[0])
 
-    groups = [
-        AlternativeGroup(
-            gid,
-            tuple(labels),
-            {lab: tuple(sorted(label_sources[lab])) for lab in labels},
-        )
-        for gid, (_, labels) in enumerate(keyed)
-    ]
-    return PhraseTable(groups)
+    return PhraseTable(
+        [AlternativeGroup(gid, tuple(labels)) for gid, (_, labels) in enumerate(keyed)]
+    )
 
 
 def write_table(table: PhraseTable, stream: IO[str]) -> None:
@@ -233,15 +210,15 @@ def write_table(table: PhraseTable, stream: IO[str]) -> None:
 
 
 def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
-    """Read a phrase-table file produced by write_table."""
-    labels_by_group: dict[int, set[Label]] = defaultdict(set)
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ValueError(f"line {line_no}: expected 2 columns, got {len(cols)}")
+    """Read a phrase-table file produced by write_table.
+
+    A label may repeat within its group but not across groups, and every group
+    needs two distinct labels; errors name the offending line.
+    """
+    # label -> line of its first row, per group
+    labels_by_group: dict[int, dict[Label, int]] = defaultdict(dict)
+    group_of: dict[Label, int] = {}
+    for line_no, cols in rows(stream, 2):
         try:
             group_id = int(cols[0])
         except ValueError:
@@ -249,11 +226,17 @@ def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
         label = tuple(cols[1].split())
         if not label:
             raise ValueError(f"line {line_no}: empty label")
-        labels_by_group[group_id].add(label)
+        if group_of.setdefault(label, group_id) != group_id:
+            raise ValueError(
+                f"line {line_no}: label {' '.join(label)!r} appears in more than one group"
+            )
+        labels_by_group[group_id].setdefault(label, line_no)
     groups = []
     for group_id in sorted(labels_by_group):
-        labels = sorted(labels_by_group[group_id])
-        if len(labels) < 2:
-            raise ValueError(f"group {group_id} has fewer than 2 labels")
+        first_lines = labels_by_group[group_id]
+        if len(first_lines) < 2:
+            line_no = next(iter(first_lines.values()))
+            raise ValueError(f"line {line_no}: group {group_id} has fewer than 2 labels")
+        labels = sorted(first_lines)
         groups.append(AlternativeGroup(group_id, tuple(labels)))
     return PhraseTable(groups)

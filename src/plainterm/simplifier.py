@@ -8,7 +8,6 @@ sentence repeats (cycle guard), or the iteration cap is hit.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,12 +21,9 @@ __all__ = [
     "SimplifierConfig",
     "Replacement",
     "SimplificationResult",
-    "IterationStats",
     "rank_span",
     "simplify_once",
     "simplify",
-    "simplify_corpus",
-    "iteration_stats",
 ]
 
 
@@ -112,12 +108,6 @@ class SimplificationResult:
                 for passes in self.trace
             ],
         }
-
-
-@dataclass(frozen=True)
-class IterationStats:
-    mean: float
-    median: float
 
 
 def rank_span(
@@ -222,22 +212,3 @@ def simplify(
             seen.add(key)
     final = detokenize(tokens) if iterations else sentence
     return SimplificationResult(sentence, final, iterations, trace, final != sentence)
-
-
-def simplify_corpus(
-    sentences: Iterable[str],
-    table: PhraseTable,
-    lm: LmScorer,
-    freq: FrequencyTable,
-    config: SimplifierConfig,
-) -> list[SimplificationResult]:
-    """Simplify sentences in order; results line up with the input."""
-    return [simplify(s, table, lm, freq, config) for s in sentences]
-
-
-def iteration_stats(results: Sequence[SimplificationResult]) -> IterationStats:
-    """Mean and median iteration counts over a batch."""
-    if not results:
-        raise ValueError("no results")
-    counts = [r.iterations for r in results]
-    return IterationStats(statistics.mean(counts), statistics.median(counts))

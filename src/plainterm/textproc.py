@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .ontology import PhraseTable
@@ -17,6 +17,7 @@ __all__ = [
     "tokens_from_texts",
     "detokenize",
     "extract_spans",
+    "rows",
 ]
 
 _CHUNK = re.compile(r"\S+")
@@ -119,3 +120,20 @@ def extract_spans(
             spans.append(hit)
             pos = hit.end
     return spans
+
+
+def rows(stream: IO[str] | Iterable[str], ncols: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, columns) for each tab-separated row of a text input.
+
+    Blank lines and lines starting with '#' are skipped but still counted, so
+    line_no is the 1-based line in the input. A row with other than ncols
+    columns raises ValueError naming its line.
+    """
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != ncols:
+            raise ValueError(f"line {line_no}: expected {ncols} columns, got {len(cols)}")
+        yield line_no, cols

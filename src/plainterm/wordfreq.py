@@ -8,6 +8,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
+from .textproc import rows
+
 __all__ = ["FrequencyTable", "load_table", "build_table", "wf"]
 
 log = logging.getLogger(__name__)
@@ -26,13 +28,7 @@ class FrequencyTable:
 def load_table(stream: IO[str] | Iterable[str], epsilon: float = DEFAULT_EPSILON) -> FrequencyTable:
     """Load word<TAB>probability rows; keys are lowercased, later duplicates win."""
     probs: dict[str, float] = {}
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ValueError(f"line {line_no}: expected 2 columns, got {len(cols)}")
+    for line_no, cols in rows(stream, 2):
         word = cols[0].strip().lower()
         if not word:
             raise ValueError(f"line {line_no}: empty word")

@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import plainterm
 from plainterm.cli import main
 from plainterm.ngram_lm import load_arpa
 from plainterm.wordfreq import build_table
@@ -114,9 +117,21 @@ class TestSimplify:
                 "-o", str(out),
             ]
         )
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 0
         assert out.read_text() == (data_dir / "pipeline_golden.tsv").read_text()
+        assert "simplified 4 sentences: 3 changed, iterations mean=0.75 median=1\n" in err
+
+    def test_tab_in_input_exits_1(self, data_dir, tmp_path, capsys):
+        # an unchanged sentence is copied verbatim, so its tab would add output columns
+        source = tmp_path / "input.txt"
+        source.write_text("plain text .\nkeep\tthis .\n")
+        args = self.simplify_args(data_dir)
+        args[args.index("--input") + 1] = str(source)
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: ")
 
 
 class TestEvaluate:
@@ -236,10 +251,14 @@ class TestEntryPoints:
         capsys.readouterr()
 
     def test_module_help(self):
+        # the child process runs the package these tests import, installed or not
+        src = str(pathlib.Path(plainterm.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "plainterm.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "build-table" in proc.stdout

@@ -72,6 +72,12 @@ class TestLoaders:
         with pytest.raises(ValueError, match="line 1: expected 3 fields"):
             load_judgments(io.StringIO("s1,human\n"))
 
+    def test_csv_error_names_line(self):
+        # an unclosed quote runs the field to the end of the file
+        text = "s1,human\n\"" + "x" * 200_000 + "\n"
+        with pytest.raises(ValueError, match="line 2: field larger than field limit"):
+            load_unchanged(io.StringIO(text))
+
     def test_load_unchanged(self):
         flags = load_unchanged(io.StringIO("sentence_id,system_id\ns1,human\ns2,ngram\n"))
         assert flags == [("s1", "human"), ("s2", "ngram")]

@@ -163,6 +163,12 @@ class TestArpa:
         with pytest.raises(ValueError, match="bad ngram count declaration"):
             load_arpa(io.StringIO("\\data\\\nngram one=2\n"))
 
+    @pytest.mark.parametrize("declarations", ["ngram 2=1\n", "ngram 1=1\nngram 3=1\n", "ngram 0=1\n"])
+    def test_declared_orders_must_be_1_to_n(self, declarations):
+        last = 1 + declarations.count("\n")
+        with pytest.raises(ValueError, match=f"line {last}: ngram count declarations must cover orders 1..N"):
+            load_arpa(io.StringIO("\\data\\\n" + declarations))
+
     def test_missing_section(self):
         text = "\\data\\\nngram 1=2\n\n\\end\\\n"
         with pytest.raises(ValueError, match=r"expected \\1-grams: section"):
@@ -205,6 +211,11 @@ class TestLookupScorer:
     def test_load_bad_score(self):
         with pytest.raises(ValueError, match="line 1: bad score"):
             LookupScorer.load(io.StringIO("a\tnope\n"))
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+    def test_load_rejects_non_finite_score(self, text):
+        with pytest.raises(ValueError, match=f"line 2: score must be finite, got '{text}'"):
+            LookupScorer.load(io.StringIO(f"a .\t-5.0\nb .\t{text}\n"))
 
 
 class TestLoadScorer:

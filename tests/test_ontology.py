@@ -27,13 +27,10 @@ class TestParseRecords:
         assert recs[0].concept_id == "C1"
         assert recs[0].label == "Otalgia"
         assert recs[0].source == "srcA"
-        assert recs[0].is_primary
-        assert not recs[1].is_primary
 
     def test_comments_and_blanks_skipped(self):
         recs = records("# header\n\nC1\tOtalgia\tsrc\tP\n")
         assert len(recs) == 1
-        assert recs[0].line_no == 3
 
     def test_wrong_column_count(self):
         with pytest.raises(ValueError, match="line 1: expected 4 columns, got 3"):
@@ -130,11 +127,6 @@ class TestAlign:
         backward = align(records(reversed_lines)).groups
         assert forward == backward
 
-    def test_provenance_collects_sources(self):
-        recs = records("C1\tOtalgia\ta\tP\nC1\tEarache\tb\tA\nC2\tOtalgia\tc\tP\nC2\tEar pain\tc\tA\n")
-        group = align(recs, expand_plurals=False).groups[0]
-        assert group.provenance[("otalgia",)] == ("a", "c")
-
     def test_matches_component_oracle(self):
         rng = random.Random(73)
         words = [chr(97 + i) * 2 for i in range(14)]
@@ -178,6 +170,18 @@ class TestPhraseTable:
     def test_read_rejects_singleton_group(self):
         with pytest.raises(ValueError, match="fewer than 2"):
             read_table(io.StringIO("0\tonly one\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\ta\n0\tb\n# c\n1\tc\n1\tb\n", "line 5: label 'b' appears in more than one group"),
+            ("0\ta\n0\tb\n\n1\tc\n1\tc\n", "line 4: group 1 has fewer than 2 labels"),
+        ],
+    )
+    def test_read_group_errors_name_a_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            read_table(io.StringIO(text))
+        assert str(err.value) == message
 
     def test_read_rejects_bad_group_id(self):
         with pytest.raises(ValueError, match="line 1"):

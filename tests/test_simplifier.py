@@ -6,10 +6,8 @@ from plainterm.ngram_lm import LookupScorer
 from plainterm.ontology import AlternativeGroup, PhraseTable
 from plainterm.simplifier import (
     SimplifierConfig,
-    iteration_stats,
     rank_span,
     simplify,
-    simplify_corpus,
     simplify_once,
 )
 from plainterm.textproc import extract_spans, tokenize
@@ -268,39 +266,3 @@ class TestRankingFixture:
         assert len(result.trace[0]) == 1
         assert len(result.trace[0][0].candidates) == 5
 
-
-class TestCorpusHelpers:
-    def test_simplify_corpus_preserves_order(self, two_stage):
-        table, lm, freq = two_stage
-        lm.scores["plain text ."] = -1.0
-        results = simplify_corpus(
-            ["Hyperlipidemia with elevated triglycerides .", "plain text ."],
-            table,
-            lm,
-            freq,
-            SimplifierConfig(alpha=1.0),
-        )
-        assert [r.changed for r in results] == [True, False]
-        assert results[1].final == "plain text ."
-
-    def test_iteration_stats(self, two_stage):
-        table, lm, freq = two_stage
-        lm.scores["plain text ."] = -1.0
-        results = simplify_corpus(
-            [
-                "Hyperlipidemia with elevated triglycerides .",
-                "plain text .",
-                "Hyperlipidemia with elevated triglycerides .",
-            ],
-            table,
-            lm,
-            freq,
-            SimplifierConfig(alpha=1.0),
-        )
-        stats = iteration_stats(results)
-        assert stats.mean == pytest.approx((2 + 0 + 2) / 3)
-        assert stats.median == 2
-
-    def test_iteration_stats_empty(self):
-        with pytest.raises(ValueError, match="no results"):
-            iteration_stats([])
