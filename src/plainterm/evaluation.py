@@ -14,9 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .ngram_lm import LmScorer
+from .ngram_lm import LmScorer, ScoreMemo
 from .ontology import PhraseTable
 from .simplifier import SimplifierConfig, simplify
 from .wordfreq import FrequencyTable
@@ -264,6 +262,9 @@ def sg_significance(
         raise ValueError("no judgments")
     if iterations < 1000:
         raise ValueError("iterations must be >= 1000")
+    # imported here, its only use, so that importing the package stays cheap
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     ps_a = np.array([a.s, a.f, a.e, a.n, a.u], dtype=float) / a.total
     ps_b = np.array([b.s, b.f, b.e, b.n, b.u], dtype=float) / b.total
@@ -294,7 +295,8 @@ def grid_search_alpha(
     """Pick the alpha maximizing mean SARI over (source, reference) dev pairs.
 
     Returns the best alpha (smallest on ties) and the full (alpha, sari) curve,
-    one entry per grid point.
+    one entry per grid point. Language-model scores do not depend on alpha,
+    so each distinct sentence is scored once for the whole grid.
     """
     pairs = list(dev_pairs)
     if not pairs:
@@ -302,6 +304,7 @@ def grid_search_alpha(
     points = list(grid) if grid is not None else default_alpha_grid()
     if not points:
         raise ValueError("empty alpha grid")
+    lm = ScoreMemo(lm)
     curve: list[tuple[float, float]] = []
     best_alpha: float | None = None
     best_score = -math.inf

@@ -21,6 +21,7 @@ __all__ = [
     "STOP",
     "UNK",
     "LmScorer",
+    "ScoreMemo",
     "NgramModel",
     "LookupScorer",
     "train",
@@ -39,10 +40,34 @@ _PLACEHOLDER_LOG10 = -99.0
 
 
 class LmScorer(Protocol):
-    """Anything that maps a token sequence to a mean log-probability."""
+    """Anything that maps a token sequence to a mean log-probability.
+
+    A scorer must be pure: the same tokens always get the same score.
+    simplify and grid_search_alpha score each distinct sentence once per
+    call and reuse that score.
+    """
 
     def score(self, tokens: Sequence[str]) -> float:
         ...
+
+
+class ScoreMemo:
+    """LmScorer that asks an inner scorer once per distinct token sequence.
+
+    It keeps every score it has seen, so make one per call that scores many
+    overlapping sentences and let it go when that call returns.
+    """
+
+    def __init__(self, lm: LmScorer) -> None:
+        self.lm = lm
+        self.scores: dict[tuple[str, ...], float] = {}
+
+    def score(self, tokens: Sequence[str]) -> float:
+        key = tuple(tokens)
+        score = self.scores.get(key)
+        if score is None:
+            score = self.scores[key] = self.lm.score(key)
+        return score
 
 
 @dataclass

@@ -39,7 +39,6 @@ class ConceptRecord:
 
     concept_id: str
     label: str
-    source: str
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,7 @@ class PhraseTable:
                     raise ValueError(f"label {' '.join(label)!r} appears in more than one group")
                 self.index[label] = group.group_id
         self._by_id = {g.group_id: g for g in self.groups}
+        self._max_label_len = max(map(len, self.index), default=0)
 
     @classmethod
     def from_groups(cls, label_groups: Iterable[Iterable[str | Label]]) -> "PhraseTable":
@@ -89,7 +89,8 @@ class PhraseTable:
         return self.index.get(tuple(phrase))
 
     def max_label_len(self) -> int:
-        return max((len(label) for label in self.index), default=0)
+        """Token count of the longest label, computed once when the table is built."""
+        return self._max_label_len
 
 
 def normalize_label(text: str) -> Label:
@@ -106,6 +107,14 @@ def pluralize(word: str) -> str:
     return word + "s"
 
 
+def _table_label(text: str) -> Label:
+    # same result as normalize_label; a lowercase label of alphanumeric words
+    # has no punctuation to split off, so splitting on spaces is enough
+    if text.replace(" ", "").isalnum() and text == text.lower():
+        return tuple(text.split())
+    return normalize_label(text)
+
+
 def _plural_variant(label: Label) -> Label | None:
     # pluralize the head (final) word only, and only when it is alphabetic
     if not label or not label[-1].isalpha():
@@ -116,19 +125,20 @@ def _plural_variant(label: Label) -> Label | None:
 def parse_records(stream: IO[str] | Iterable[str]) -> list[ConceptRecord]:
     """Parse tab-separated ontology rows: concept_id, label, source, P|A flag.
 
-    Blank lines and lines starting with '#' are skipped. Any malformed line
-    raises ValueError naming the 1-based line number.
+    The source and flag columns are checked but not kept. Blank lines and
+    lines starting with '#' are skipped. Any malformed line raises ValueError
+    naming the 1-based line number.
     """
     records: list[ConceptRecord] = []
     for line_no, cols in rows(stream, 4):
-        concept_id, label, source, flag = (c.strip() for c in cols)
+        concept_id, label, _source, flag = (c.strip() for c in cols)
         if not concept_id:
             raise ValueError(f"line {line_no}: empty concept id")
         if not label:
             raise ValueError(f"line {line_no}: empty label")
         if flag not in ("P", "A"):
             raise ValueError(f"line {line_no}: flag must be P or A, got {flag!r}")
-        records.append(ConceptRecord(concept_id, label, source))
+        records.append(ConceptRecord(concept_id, label))
     return records
 
 
@@ -210,10 +220,12 @@ def write_table(table: PhraseTable, stream: IO[str]) -> None:
 
 
 def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
-    """Read a phrase-table file produced by write_table.
+    """Read a phrase-table file produced by write_table or written by hand.
 
-    A label may repeat within its group but not across groups, and every group
-    needs two distinct labels; errors name the offending line.
+    Labels are normalized as PhraseTable.from_groups does (lowercased,
+    punctuation split off), so a hand-written label can match. A label may
+    repeat within its group but not across groups, and every group needs two
+    distinct labels; errors name the offending line.
     """
     # label -> line of its first row, per group
     labels_by_group: dict[int, dict[Label, int]] = defaultdict(dict)
@@ -223,7 +235,7 @@ def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
             group_id = int(cols[0])
         except ValueError:
             raise ValueError(f"line {line_no}: bad group id {cols[0]!r}") from None
-        label = tuple(cols[1].split())
+        label = _table_label(cols[1])
         if not label:
             raise ValueError(f"line {line_no}: empty label")
         if group_of.setdefault(label, group_id) != group_id:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ngram_lm import LmScorer
+from .ngram_lm import LmScorer, ScoreMemo
 from .ontology import AlternativeGroup, Label, PhraseTable
 from .textproc import Span, Token, detokenize, extract_spans, tokenize, tokens_from_texts
 from .wordfreq import FrequencyTable, wf
@@ -192,8 +192,11 @@ def simplify(
 
     The reported iteration count is the number of passes that changed the
     sentence; the trace has one entry per executed pass, so a run that
-    converged before the cap ends with an empty trace entry.
+    converged before the cap ends with an empty trace entry. Each distinct
+    candidate sentence is scored by the language model once per call.
     """
+    if not isinstance(lm, ScoreMemo):
+        lm = ScoreMemo(lm)
     tokens = tokenize(sentence)
     trace: list[tuple[Replacement, ...]] = []
     iterations = 0

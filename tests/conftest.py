@@ -1,12 +1,25 @@
 import pathlib
+from collections import Counter
 
 import pytest
 
 from plainterm.ngram_lm import LookupScorer
-from plainterm.ontology import PhraseTable
-from plainterm.wordfreq import FrequencyTable
+from plainterm.ontology import PhraseTable, read_table
+from plainterm.wordfreq import FrequencyTable, load_table
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+class CountingScorer:
+    """LmScorer that counts how often each token tuple reaches it."""
+
+    def __init__(self, lm):
+        self.lm = lm
+        self.calls = Counter()
+
+    def score(self, tokens):
+        self.calls[tuple(tokens)] += 1
+        return self.lm.score(tokens)
 
 
 @pytest.fixture
@@ -15,10 +28,13 @@ def data_dir():
 
 
 @pytest.fixture
+def counting():
+    return CountingScorer
+
+
+@pytest.fixture
 def ranking_table():
     with open(DATA / "ranking_table.tsv") as fh:
-        from plainterm.ontology import read_table
-
         return read_table(fh)
 
 
@@ -30,10 +46,22 @@ def ranking_lm():
 
 @pytest.fixture
 def ranking_freq():
-    from plainterm.wordfreq import load_table
-
     with open(DATA / "ranking_freq.tsv") as fh:
         return load_table(fh)
+
+
+@pytest.fixture
+def tune():
+    """Dev pairs, table, lookup LM and frequencies of the tune_* step fixture."""
+    with open(DATA / "tune_table.tsv") as fh:
+        table = read_table(fh)
+    with open(DATA / "tune_lm.tsv") as fh:
+        lm = LookupScorer.load(fh)
+    with open(DATA / "tune_freq.tsv") as fh:
+        freq = load_table(fh)
+    with open(DATA / "tune_dev.tsv") as fh:
+        pairs = [tuple(line.rstrip("\n").split("\t")) for line in fh if line.strip()]
+    return pairs, table, lm, freq
 
 
 @pytest.fixture

@@ -250,16 +250,25 @@ class TestEntryPoints:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_module_help(self):
+    def python(self, *args):
         # the child process runs the package these tests import, installed or not
         src = str(pathlib.Path(plainterm.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "plainterm.cli", "--help"],
+        return subprocess.run(
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_module_help(self):
+        proc = self.python("-m", "plainterm.cli", "--help")
         assert proc.returncode == 0
         assert "build-table" in proc.stdout
         assert "simplify" in proc.stdout
+
+    def test_import_leaves_numpy_unloaded(self):
+        # only sg_significance needs numpy; every other command starts without it
+        proc = self.python("-c", "import sys, plainterm.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -19,9 +19,7 @@ from plainterm.evaluation import (
     sg_significance,
     simplification_gain,
 )
-from plainterm.ngram_lm import LookupScorer
-from plainterm.ontology import read_table
-from plainterm.wordfreq import load_table
+from plainterm.simplifier import SimplifierConfig, simplify
 
 from oracles import bleu_score, sari_score
 
@@ -240,19 +238,8 @@ class TestAlphaGrid:
 
 
 class TestGridSearch:
-    def fixture(self, data_dir):
-        with open(data_dir / "tune_table.tsv") as fh:
-            table = read_table(fh)
-        with open(data_dir / "tune_lm.tsv") as fh:
-            lm = LookupScorer.load(fh)
-        with open(data_dir / "tune_freq.tsv") as fh:
-            freq = load_table(fh)
-        with open(data_dir / "tune_dev.tsv") as fh:
-            pairs = [tuple(line.rstrip("\n").split("\t")) for line in fh if line.strip()]
-        return pairs, table, lm, freq
-
-    def test_step_fixture_best_alpha(self, data_dir):
-        pairs, table, lm, freq = self.fixture(data_dir)
+    def test_step_fixture_best_alpha(self, tune):
+        pairs, table, lm, freq = tune
         best, curve = grid_search_alpha(pairs, table, lm, freq)
         assert best == 0.5
         assert len(curve) == len(default_alpha_grid())
@@ -261,25 +248,42 @@ class TestGridSearch:
         for alpha, score in curve:
             assert score == (high if alpha >= 0.5 else low)
 
-    def test_curve_is_monotone_step(self, data_dir):
-        pairs, table, lm, freq = self.fixture(data_dir)
+    def test_curve_is_monotone_step(self, tune):
+        pairs, table, lm, freq = tune
         _, curve = grid_search_alpha(pairs, table, lm, freq)
         scores = [score for _, score in curve]
         assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
 
-    def test_explicit_grid(self, data_dir):
-        pairs, table, lm, freq = self.fixture(data_dir)
+    def test_explicit_grid(self, tune):
+        pairs, table, lm, freq = tune
         best, curve = grid_search_alpha(pairs, table, lm, freq, grid=[0.2, 0.8])
         assert best == 0.8
         assert [alpha for alpha, _ in curve] == [0.2, 0.8]
 
-    def test_empty_dev_set(self, data_dir):
-        _, table, lm, freq = self.fixture(data_dir)
+    def test_each_distinct_sentence_scored_once_across_the_grid(self, tune, counting):
+        pairs, table, lm, freq = tune
+        scorer = counting(lm)
+        _, curve = grid_search_alpha(pairs, table, scorer, freq)
+        assert set(scorer.calls.values()) == {1}
+        # the same curve as simplifying every pair afresh at every alpha
+        assert curve == [
+            (alpha, math.fsum(
+                sari(src, simplify(src, table, lm, freq, SimplifierConfig(alpha=alpha)).final, [ref])
+                for src, ref in pairs
+            ) / len(pairs))
+            for alpha in default_alpha_grid()
+        ]
+        # and a second call reaches the scorer again
+        grid_search_alpha(pairs, table, scorer, freq)
+        assert set(scorer.calls.values()) == {2}
+
+    def test_empty_dev_set(self, tune):
+        _, table, lm, freq = tune
         with pytest.raises(ValueError, match="empty development set"):
             grid_search_alpha([], table, lm, freq)
 
-    def test_empty_grid(self, data_dir):
-        pairs, table, lm, freq = self.fixture(data_dir)
+    def test_empty_grid(self, tune):
+        pairs, table, lm, freq = tune
         with pytest.raises(ValueError, match="empty alpha grid"):
             grid_search_alpha(pairs, table, lm, freq, grid=[])
 

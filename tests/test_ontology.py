@@ -2,9 +2,12 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plainterm.ontology import (
     PhraseTable,
+    _table_label,
     align,
     normalize_label,
     parse_records,
@@ -12,6 +15,7 @@ from plainterm.ontology import (
     read_table,
     write_table,
 )
+from plainterm.textproc import extract_spans, tokenize
 
 from oracles import component_label_sets, naive_plural
 
@@ -26,7 +30,6 @@ class TestParseRecords:
         assert len(recs) == 2
         assert recs[0].concept_id == "C1"
         assert recs[0].label == "Otalgia"
-        assert recs[0].source == "srcA"
 
     def test_comments_and_blanks_skipped(self):
         recs = records("# header\n\nC1\tOtalgia\tsrc\tP\n")
@@ -157,6 +160,9 @@ class TestPhraseTable:
         table = PhraseTable.from_groups([["otalgia", "shortness of breath"]])
         assert table.max_label_len() == 3
 
+    def test_max_label_len_of_empty_table(self):
+        assert PhraseTable([]).max_label_len() == 0
+
     def test_round_trip(self):
         table = PhraseTable.from_groups(
             [["otalgia", "earache"], ["shortness of breath", "dyspnoea"]]
@@ -176,12 +182,19 @@ class TestPhraseTable:
         [
             ("0\ta\n0\tb\n# c\n1\tc\n1\tb\n", "line 5: label 'b' appears in more than one group"),
             ("0\ta\n0\tb\n\n1\tc\n1\tc\n", "line 4: group 1 has fewer than 2 labels"),
+            ("0\ta\n0\tHeart Attack\n1\theart attack\n1\tc\n", "line 3: label 'heart attack' appears in more than one group"),
         ],
     )
     def test_read_group_errors_name_a_line(self, text, message):
         with pytest.raises(ValueError) as err:
             read_table(io.StringIO(text))
         assert str(err.value) == message
+
+    def test_read_normalizes_hand_written_labels(self):
+        table = read_table(io.StringIO("0\tHeart attack\n0\tmyocardial infarction\n"))
+        assert table.groups[0].labels == (("heart", "attack"), ("myocardial", "infarction"))
+        spans = extract_spans(tokenize("Heart attack ."), table)
+        assert [(s.start, s.end, s.group_id) for s in spans] == [(0, 2, 0)]
 
     def test_read_rejects_bad_group_id(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -190,3 +203,14 @@ class TestPhraseTable:
     def test_normalize_label_splits_punct(self):
         assert normalize_label("Heart attack,") == ("heart", "attack", ",")
         assert normalize_label("  Shortness  of Breath ") == ("shortness", "of", "breath")
+
+
+# letters with and without case (incl. non-ASCII and final sigma), digits,
+# punctuation, underscore and whitespace other than a plain space
+LABEL_CHARS = "abzAZ09 _-.,'()/\u00e9\u00c9\u00df\u03a3\u03c3\u03c2\u0130\u0131\u01c5\u00b2\u0301\u00a0\u2003\x0b\x1c\t"
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(text=st.one_of(st.text(alphabet=LABEL_CHARS, max_size=20), st.text(max_size=20)))
+def test_table_label_fast_path_equals_normalize_label(text):
+    assert _table_label(text) == normalize_label(text)

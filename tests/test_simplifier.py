@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from plainterm.ngram_lm import LookupScorer
+from plainterm.ngram_lm import LookupScorer, ScoreMemo
 from plainterm.ontology import AlternativeGroup, PhraseTable
 from plainterm.simplifier import (
     SimplifierConfig,
@@ -224,6 +224,35 @@ class TestSimplify:
         assert terms == {"hyperlipidemia", "elevated lipids in blood", "excessive fat in blood"}
         for cand in first["candidates"]:
             assert set(cand) == {"term", "sentence", "lm", "wf", "combined"}
+
+
+class TestScoreMemo:
+    def run(self, two_stage, lm):
+        table, _, freq = two_stage
+        return simplify("Hyperlipidemia with elevated triglycerides .", table, lm, freq, SimplifierConfig(alpha=1.0))
+
+    def test_each_distinct_sentence_scored_once_per_call(self, two_stage, counting):
+        scorer = counting(two_stage[1])
+        result = self.run(two_stage, scorer)
+        assert result.iterations == 2
+        assert set(scorer.calls.values()) == {1}
+        # each span's keep-the-original candidate is the pass input itself
+        ranked = sum(len(rep.candidates) for passes in result.trace for rep in passes)
+        assert ranked > len(scorer.calls)
+
+    def test_no_score_outlives_a_call(self, two_stage, counting):
+        scorer = counting(two_stage[1])
+        first = self.run(two_stage, scorer)
+        once = dict(scorer.calls)
+        assert self.run(two_stage, scorer) == first
+        assert scorer.calls == {key: 2 * n for key, n in once.items()}
+
+    def test_a_memo_passed_in_is_used_as_is(self, two_stage, counting):
+        scorer = counting(two_stage[1])
+        memo = ScoreMemo(scorer)
+        self.run(two_stage, memo)
+        self.run(two_stage, memo)
+        assert set(scorer.calls.values()) == {1}
 
 
 class TestRankingFixture:

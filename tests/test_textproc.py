@@ -1,6 +1,9 @@
 import random
 
-from plainterm.ontology import PhraseTable
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plainterm.ontology import PhraseTable, normalize_label, read_table
 from plainterm.textproc import Span, detokenize, extract_spans, tokenize, tokens_from_texts
 
 from oracles import greedy_spans
@@ -120,3 +123,21 @@ class TestExtractSpans:
             got = [(s.start, s.end) for s in extract_spans(toks, table)]
             want = greedy_spans([t.norm for t in toks], table.index, table.max_label_len())
             assert got == want
+
+
+# mixed case and punctuation, so labels and sentences both need normalizing
+WORDS = ["ab", "Ab", "AB", "cd", "Cd", "e", "e.", "(e", ",", "f-g"]
+LABELS = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+SENTENCES = st.lists(st.sampled_from(WORDS + ["x", "X."]), max_size=14).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(labels=st.lists(LABELS, min_size=2, max_size=12, unique_by=normalize_label), sentence=SENTENCES)
+def test_extract_spans_equals_oracle_on_random_tables(labels, sentence):
+    # labels pair up into groups in order; an odd last label joins the final group
+    last_group = len(labels) // 2 - 1
+    table = read_table(f"{min(i // 2, last_group)}\t{label}\n" for i, label in enumerate(labels))
+    tokens = tokenize(sentence)
+    got = [(s.start, s.end, s.group_id) for s in extract_spans(tokens, table)]
+    want = greedy_spans(norms(tokens), table.index, max(map(len, table.index)))
+    assert got == [(i, j, table.lookup(norms(tokens)[i:j])) for i, j in want]
