@@ -70,17 +70,25 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_models(
+    args: argparse.Namespace,
+) -> tuple[ontology.PhraseTable, ngram_lm.LmScorer, wordfreq.FrequencyTable]:
+    """Load the --table, --lm and --freq files shared by simplify and tune."""
+    with open(args.table, encoding="utf-8") as fh:
+        table = ontology.read_table(fh)
+    lm = ngram_lm.load_scorer(args.lm)
+    with open(args.freq, encoding="utf-8") as fh:
+        freq = wordfreq.load_table(fh)
+    return table, lm, freq
+
+
 def cmd_simplify(args: argparse.Namespace) -> int:
     sentences = _read_lines(args.input)
     for line_no, sentence in enumerate(sentences, start=1):
         # the original is copied into the output row, so a tab would add columns
         if "\t" in sentence:
             raise ValueError(f"line {line_no}: input sentence contains a tab")
-    with open(args.table, encoding="utf-8") as fh:
-        table = ontology.read_table(fh)
-    lm = ngram_lm.load_scorer(args.lm)
-    with open(args.freq, encoding="utf-8") as fh:
-        freq = wordfreq.load_table(fh)
+    table, lm, freq = _load_models(args)
     config = simplifier.SimplifierConfig(
         alpha=args.alpha, max_iterations=args.max_iterations
     )
@@ -204,11 +212,7 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_tune(args: argparse.Namespace) -> int:
     with open(args.dev, encoding="utf-8") as fh:
         pairs = [(source, reference) for _, (source, reference) in rows(fh, 2)]
-    with open(args.table, encoding="utf-8") as fh:
-        table = ontology.read_table(fh)
-    lm = ngram_lm.load_scorer(args.lm)
-    with open(args.freq, encoding="utf-8") as fh:
-        freq = wordfreq.load_table(fh)
+    table, lm, freq = _load_models(args)
     grid = _parse_grid(args.grid) if args.grid else None
     best_alpha, curve = evaluation.grid_search_alpha(
         pairs, table, lm, freq, grid=grid, max_iterations=args.max_iterations

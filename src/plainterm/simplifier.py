@@ -9,11 +9,11 @@ sentence repeats (cycle guard), or the iteration cap is hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ngram_lm import LmScorer, ScoreMemo
 from .ontology import AlternativeGroup, Label, PhraseTable
-from .textproc import Span, Token, detokenize, extract_spans, tokenize, tokens_from_texts
+from .textproc import Span, Token, detokenize, extract_spans, tokenize
 from .wordfreq import FrequencyTable, wf
 
 __all__ = [
@@ -43,13 +43,11 @@ class SimplifierConfig:
     """Knobs for a simplification run.
 
     alpha weights fluency (language model) against word familiarity; 1.0 is
-    pure fluency. include_original keeps the matched text itself in the
-    running, so a span is only rewritten when an alternative beats it.
+    pure fluency.
     """
 
     alpha: float = 0.7
     max_iterations: int = 5
-    include_original: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -111,41 +109,32 @@ class SimplificationResult:
 
 
 def rank_span(
-    tokens: Sequence[Token],
+    norms: list[str],
     span: Span,
     group: AlternativeGroup,
     lm: LmScorer,
     freq: FrequencyTable,
     alpha: float,
-    include_original: bool = True,
 ) -> tuple[Label, list[Candidate]]:
     """Score every alternative for one span and pick the best term.
 
-    The language model sees the full sentence with the alternative spliced in;
-    the frequency score sees the bare term. Combined score is
-    alpha * lm + (1 - alpha) * wf. Ties go to the higher lm score, then to the
-    lexicographically smallest term. The matched text is itself a group label,
-    so keeping the original needs no extra candidate beyond its own label.
+    norms are the lowercased tokens of the pass input. The language model
+    sees the full sentence with the alternative spliced in; the frequency
+    score sees the bare term. Combined score is alpha * lm + (1 - alpha) * wf.
+    Ties go to the higher lm score, then to the lexicographically smallest
+    term. The matched text is itself a group label, so keeping it is one of
+    the candidates and a span is only rewritten when an alternative beats it.
     """
-    norms = [t.norm for t in tokens]
-    current = tuple(norms[span.start : span.end])
-    labels: Iterable[Label] = group.labels
-    if not include_original:
-        labels = [lab for lab in group.labels if lab != current]
     candidates: list[Candidate] = []
-    for label in labels:
+    for label in group.labels:
         sent = norms[: span.start] + list(label) + norms[span.end :]
         lm_score = lm.score(sent)
         wf_score = wf(label, freq)
         combined = alpha * lm_score + (1.0 - alpha) * wf_score
         candidates.append(Candidate(label, " ".join(sent), lm_score, wf_score, combined))
-    if not candidates:
-        raise ValueError(f"group {group.group_id} offers no candidates for this span")
-    best = candidates[0]
-    for cand in candidates[1:]:
-        # labels are stored sorted, so strict comparison keeps the smallest term on ties
-        if (cand.combined, cand.lm_score) > (best.combined, best.lm_score):
-            best = cand
+    # labels are stored sorted and max keeps the first of equal keys, so the
+    # smallest term wins ties
+    best = max(candidates, key=lambda c: (c.combined, c.lm_score))
     return best.term, candidates
 
 
@@ -162,23 +151,21 @@ def simplify_once(
     left so earlier span offsets stay valid.
     """
     spans = extract_spans(tokens, table)
+    norms = [t.norm for t in tokens]
     replacements: list[Replacement] = []
     for span in spans:
         group = table.group(span.group_id)
-        chosen, candidates = rank_span(
-            tokens, span, group, lm, freq, config.alpha, config.include_original
-        )
+        chosen, candidates = rank_span(norms, span, group, lm, freq, config.alpha)
         if chosen != span.matched:
             replacements.append(Replacement(span, chosen, tuple(candidates)))
-    if not replacements:
-        return list(tokens), []
-    texts = [t.text for t in tokens]
-    for rep in sorted(replacements, key=lambda r: r.span.start, reverse=True):
+    out = list(tokens)
+    for rep in reversed(replacements):
         words = list(rep.chosen)
         if rep.span.start == 0:
             words[0] = words[0][:1].upper() + words[0][1:]
-        texts[rep.span.start : rep.span.end] = words
-    return tokens_from_texts(texts), replacements
+        # norm is taken after capitalization, as tokenize would take it
+        out[rep.span.start : rep.span.end] = [Token(w, w.lower()) for w in words]
+    return out, replacements
 
 
 def simplify(

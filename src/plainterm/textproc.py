@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -14,13 +13,10 @@ __all__ = [
     "Token",
     "Span",
     "tokenize",
-    "tokens_from_texts",
     "detokenize",
     "extract_spans",
     "rows",
 ]
-
-_CHUNK = re.compile(r"\S+")
 
 
 def _is_punct(ch: str) -> bool:
@@ -33,7 +29,6 @@ class Token:
 
     text: str
     norm: str
-    char_offset: int
 
 
 @dataclass(frozen=True)
@@ -46,8 +41,8 @@ class Span:
     matched: tuple[str, ...]
 
 
-def _token(text: str, offset: int) -> Token:
-    return Token(text, text.lower(), offset)
+def _token(text: str) -> Token:
+    return Token(text, text.lower())
 
 
 def tokenize(sentence: str) -> list[Token]:
@@ -57,51 +52,34 @@ def tokenize(sentence: str) -> list[Token]:
     so "x-ray" and "3.5" survive as single tokens while "otalgia." becomes two.
     """
     tokens: list[Token] = []
-    for match in _CHUNK.finditer(sentence):
-        chunk = match.group()
-        base = match.start()
+    for chunk in sentence.split():
         lead = 0
         while lead < len(chunk) and _is_punct(chunk[lead]):
-            tokens.append(_token(chunk[lead], base + lead))
+            tokens.append(_token(chunk[lead]))
             lead += 1
         trail = len(chunk)
         while trail > lead and _is_punct(chunk[trail - 1]):
             trail -= 1
         if trail > lead:
-            tokens.append(_token(chunk[lead:trail], base + lead))
+            tokens.append(_token(chunk[lead:trail]))
         for i in range(trail, len(chunk)):
-            tokens.append(_token(chunk[i], base + i))
+            tokens.append(_token(chunk[i]))
     return tokens
 
 
-def tokens_from_texts(texts: Iterable[str]) -> list[Token]:
-    """Build a token list from bare strings, assigning single-space offsets."""
-    tokens: list[Token] = []
-    offset = 0
-    for text in texts:
-        tokens.append(_token(text, offset))
-        offset += len(text) + 1
-    return tokens
+def detokenize(tokens: Iterable[Token]) -> str:
+    """Join token texts with single spaces."""
+    return " ".join(t.text for t in tokens)
 
 
-def detokenize(items: Iterable[Token] | Iterable[str]) -> str:
-    """Join tokens (or plain strings) with single spaces."""
-    return " ".join(it.text if isinstance(it, Token) else it for it in items)
-
-
-def extract_spans(
-    tokens: Sequence[Token],
-    table: "PhraseTable",
-    max_len: int | None = None,
-) -> list[Span]:
+def extract_spans(tokens: Sequence[Token], table: "PhraseTable") -> list[Span]:
     """Find non-overlapping phrase-table matches, left to right, longest first.
 
-    At each position the longest matching phrase (up to max_len tokens) wins and
-    the scan resumes after it, so returned spans are disjoint and sorted.
-    Matching is on lowercased token forms.
+    At each position the longest matching phrase (up to the table's longest
+    label) wins and the scan resumes after it, so returned spans are disjoint
+    and sorted. Matching is on lowercased token forms.
     """
-    if max_len is None:
-        max_len = table.max_label_len()
+    max_len = table.max_label_len()
     norms = [t.norm for t in tokens]
     n = len(norms)
     spans: list[Span] = []

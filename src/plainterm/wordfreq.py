@@ -14,7 +14,7 @@ __all__ = ["FrequencyTable", "load_table", "build_table", "wf"]
 
 log = logging.getLogger(__name__)
 
-DEFAULT_EPSILON = 1e-10
+EPSILON = 1e-10
 
 
 @dataclass
@@ -22,10 +22,9 @@ class FrequencyTable:
     """Relative word frequencies; missing words are treated as probability 0."""
 
     probs: dict[str, float] = field(default_factory=dict)
-    epsilon: float = DEFAULT_EPSILON
 
 
-def load_table(stream: IO[str] | Iterable[str], epsilon: float = DEFAULT_EPSILON) -> FrequencyTable:
+def load_table(stream: IO[str] | Iterable[str]) -> FrequencyTable:
     """Load word<TAB>probability rows; keys are lowercased, later duplicates win."""
     probs: dict[str, float] = {}
     for line_no, cols in rows(stream, 2):
@@ -41,10 +40,10 @@ def load_table(stream: IO[str] | Iterable[str], epsilon: float = DEFAULT_EPSILON
         if word in probs:
             log.warning("duplicate frequency entry for %r at line %d, keeping the later value", word, line_no)
         probs[word] = prob
-    return FrequencyTable(probs, epsilon)
+    return FrequencyTable(probs)
 
 
-def build_table(corpus: IO[str] | Iterable[str], epsilon: float = DEFAULT_EPSILON) -> FrequencyTable:
+def build_table(corpus: IO[str] | Iterable[str]) -> FrequencyTable:
     """Count whitespace-separated words and normalize counts into probabilities."""
     counts: Counter[str] = Counter()
     for line in corpus:
@@ -52,16 +51,16 @@ def build_table(corpus: IO[str] | Iterable[str], epsilon: float = DEFAULT_EPSILO
     total = sum(counts.values())
     if total == 0:
         raise ValueError("empty corpus")
-    return FrequencyTable({w: c / total for w, c in counts.items()}, epsilon)
+    return FrequencyTable({w: c / total for w, c in counts.items()})
 
 
 def wf(term: Sequence[str], table: FrequencyTable) -> float:
     """Familiarity of a phrase: the log frequency of its rarest word.
 
-    Computed as min over words of ln(P(word) + epsilon), so a phrase is only
+    Computed as min over words of ln(P(word) + EPSILON), so a phrase is only
     as familiar as its least common word and unknown words pin the score to
-    ln(epsilon).
+    ln(EPSILON).
     """
     if not term:
         raise ValueError("empty term")
-    return min(math.log(table.probs.get(w.lower(), 0.0) + table.epsilon) for w in term)
+    return min(math.log(table.probs.get(w.lower(), 0.0) + EPSILON) for w in term)

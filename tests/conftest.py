@@ -88,18 +88,17 @@ def two_stage():
             "excessive fat in blood with high triglycerides .": -2.0,
         }
     )
-    freq = FrequencyTable({}, epsilon=1e-10)
+    freq = FrequencyTable({})
     return table, lm, freq
 
 
 @pytest.fixture
 def oscillator():
-    """Two alternatives that each score better in the other's sentence.
+    """Two spans whose best alternatives each undo the other's rewrite.
 
-    Only reachable when the current wording is excluded from ranking; with
-    the original kept as a candidate the chooser would stop immediately.
+    Both spans are ranked against the same pass input, so "x a c ." becomes
+    "x b d .", which ranks back to "x a c .": only the cycle guard stops it.
     """
-    table = PhraseTable.from_groups([["a", "b"]])
-    lm = LookupScorer({"x a .": -1.0, "x b .": -1.0})
-    freq = FrequencyTable({}, epsilon=1e-10)
-    return table, lm, freq
+    table = PhraseTable.from_groups([["a", "b"], ["c", "d"]])
+    lm = LookupScorer({"x a c .": -5.0, "x b c .": -1.0, "x a d .": -1.0, "x b d .": -5.0})
+    return table, lm, FrequencyTable({})

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plainterm.ontology import PhraseTable, normalize_label, read_table
-from plainterm.textproc import Span, detokenize, extract_spans, tokenize, tokens_from_texts
+from plainterm.textproc import Span, detokenize, extract_spans, tokenize
 
 from oracles import greedy_spans
 
@@ -39,11 +39,6 @@ class TestTokenize:
     def test_punct_run_peeled_char_by_char(self):
         assert texts(tokenize("wait ...")) == ["wait", ".", ".", "."]
 
-    def test_offsets_point_into_original(self):
-        s = "  Fever,  chills."
-        for tok in tokenize(s):
-            assert s[tok.char_offset : tok.char_offset + len(tok.text)] == tok.text
-
     def test_empty_and_whitespace(self):
         assert tokenize("") == []
         assert tokenize("   \t ") == []
@@ -56,14 +51,6 @@ class TestTokenize:
 class TestDetokenize:
     def test_joins_with_single_space(self):
         assert detokenize(tokenize("a , b .")) == "a , b ."
-
-    def test_accepts_plain_strings(self):
-        assert detokenize(["Fever", "was", "noted", "."]) == "Fever was noted ."
-
-    def test_tokens_from_texts_round_trip(self):
-        toks = tokens_from_texts(["a", "b", "."])
-        assert detokenize(toks) == "a b ."
-        assert [t.char_offset for t in toks] == [0, 2, 4]
 
 
 class TestExtractSpans:
@@ -141,3 +128,16 @@ def test_extract_spans_equals_oracle_on_random_tables(labels, sentence):
     got = [(s.start, s.end, s.group_id) for s in extract_spans(tokens, table)]
     want = greedy_spans(norms(tokens), table.index, max(map(len, table.index)))
     assert got == [(i, j, table.lookup(norms(tokens)[i:j])) for i, j in want]
+
+
+# whitespace and punctuation of several kinds, including ones str.split and
+# unicodedata treat specially
+TEXT_CHARS = "aZß .,-(\"\t\n\u00a0\u2003\u3000"
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(s=st.one_of(st.text(alphabet=TEXT_CHARS, max_size=30), st.text(max_size=30)))
+def test_tokens_cover_the_text_and_survive_a_round_trip(s):
+    tokens = tokenize(s)
+    assert "".join(texts(tokens)) == "".join(s.split())
+    assert tokenize(detokenize(tokens)) == tokens

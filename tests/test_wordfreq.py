@@ -3,14 +3,13 @@ import math
 
 import pytest
 
-from plainterm.wordfreq import DEFAULT_EPSILON, FrequencyTable, build_table, load_table, wf
+from plainterm.wordfreq import EPSILON, FrequencyTable, build_table, load_table, wf
 
 
 class TestLoadTable:
     def test_basic(self):
         table = load_table(io.StringIO("fever\t0.01\nthe\t0.05\n"))
         assert table.probs == {"fever": 0.01, "the": 0.05}
-        assert table.epsilon == DEFAULT_EPSILON
 
     def test_keys_lowercased(self):
         table = load_table(io.StringIO("Fever\t0.01\n"))
@@ -61,15 +60,15 @@ class TestWf:
 
     def test_single_word(self):
         t = self.table(fever=0.01)
-        assert wf(["fever"], t) == math.log(0.01 + DEFAULT_EPSILON)
+        assert wf(["fever"], t) == math.log(0.01 + EPSILON)
 
     def test_min_over_words(self):
         t = self.table(heart=0.01, attack=0.001)
-        assert wf(["heart", "attack"], t) == math.log(0.001 + DEFAULT_EPSILON)
+        assert wf(["heart", "attack"], t) == math.log(0.001 + EPSILON)
 
     def test_unknown_word_floors_score(self):
         t = self.table(heart=0.01)
-        assert wf(["heart", "xyzzy"], t) == math.log(DEFAULT_EPSILON)
+        assert wf(["heart", "xyzzy"], t) == math.log(EPSILON)
 
     def test_lookup_is_case_insensitive(self):
         t = self.table(fever=0.01)
@@ -79,7 +78,7 @@ class TestWf:
         # storing exp(v) - epsilon makes wf return v bit-for-bit, which the
         # ranking fixtures rely on for exact score ties
         v = -9.05
-        t = FrequencyTable({"attack": math.exp(v) - DEFAULT_EPSILON})
+        t = FrequencyTable({"attack": math.exp(v) - EPSILON})
         assert wf(["attack"], t) == v
 
     def test_empty_term(self):
