@@ -9,11 +9,12 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import statistics
 import sys
-from typing import IO, Sequence
+from typing import IO, ContextManager, Sequence
 
 from . import evaluation, ngram_lm, ontology, simplifier, wordfreq
 from .textproc import rows
@@ -25,15 +26,10 @@ class UsageError(Exception):
     """Bad flag combinations detected after argparse has run."""
 
 
-def _open_out(path: str | None) -> IO[str]:
+def _open_out(path: str | None) -> ContextManager[IO[str]]:
     if path is None or path == "-":
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _close_out(handle: IO[str]) -> None:
-    if handle is not sys.stdout:
-        handle.close()
 
 
 def _read_lines(path: str) -> list[str]:
@@ -47,11 +43,8 @@ def cmd_build_table(args: argparse.Namespace) -> int:
         with open(path, encoding="utf-8") as fh:
             records.extend(ontology.parse_records(fh))
     table = ontology.align(records, expand_plurals=args.plural_variants)
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         ontology.write_table(table, out)
-    finally:
-        _close_out(out)
     log.info("built %d groups from %d records", len(table.groups), len(records))
     return 0
 
@@ -61,11 +54,8 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
         model = ngram_lm.train(
             fh, order=args.order, discount=args.discount, min_count=args.min_count
         )
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         ngram_lm.save_arpa(model, out)
-    finally:
-        _close_out(out)
     log.info("trained order-%d model, vocabulary size %d", model.order, len(model.vocab))
     return 0
 
@@ -93,12 +83,9 @@ def cmd_simplify(args: argparse.Namespace) -> int:
         alpha=args.alpha, max_iterations=args.max_iterations
     )
     results = [simplifier.simplify(s, table, lm, freq, config) for s in sentences]
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         for res in results:
             out.write(f"{res.original}\t{res.final}\t{res.iterations}\n")
-    finally:
-        _close_out(out)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             json.dump({"sentences": [r.to_dict() for r in results]}, fh, indent=2, sort_keys=True)
@@ -179,12 +166,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if want_sg:
         _evaluate_judgments(args, out_lines)
 
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         for line in out_lines:
             out.write(line + "\n")
-    finally:
-        _close_out(out)
     return 0
 
 
@@ -204,26 +188,26 @@ def _parse_grid(spec: str) -> list[float]:
                 points.append(val)
                 k += 1
             return points
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        points = [float(tok) for tok in spec.split(",") if tok.strip()]
+        if not points:
+            raise ValueError
+        return points
     except ValueError:
         raise UsageError(f"bad grid spec {spec!r}: use start:stop:step or a comma list") from None
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.grid) if args.grid is not None else None
     with open(args.dev, encoding="utf-8") as fh:
         pairs = [(source, reference) for _, (source, reference) in rows(fh, 2)]
     table, lm, freq = _load_models(args)
-    grid = _parse_grid(args.grid) if args.grid else None
     best_alpha, curve = evaluation.grid_search_alpha(
         pairs, table, lm, freq, grid=grid, max_iterations=args.max_iterations
     )
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         out.write("alpha\tsari\n")
         for alpha, score in curve:
             out.write(f"{alpha:.2f}\t{score:.6f}\n")
-    finally:
-        _close_out(out)
     best_score = dict(curve)[best_alpha]
     print(f"best alpha: {best_alpha:.2f} (sari {best_score:.4f})", file=sys.stderr)
     return 0

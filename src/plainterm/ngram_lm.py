@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Protocol, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .textproc import rows
 
@@ -260,74 +260,86 @@ def save_arpa(model: NgramModel, stream: IO[str]) -> None:
     stream.write("\n\\end\\\n")
 
 
+def _arpa_lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str, str]]:
+    """Yield (line_no, line, stripped) for each non-blank line, then (last + 1, "", "") at the end."""
+    line_no = 0
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        stripped = line.strip()
+        if stripped:
+            yield line_no, line, stripped
+    yield line_no + 1, "", ""
+
+
 def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
-    """Parse an ARPA file back into a model; errors name the offending line."""
-    lines = [raw.rstrip("\r\n") for raw in stream]
-    i = 0
-    while i < len(lines) and not lines[i].strip():
-        i += 1
-    if i >= len(lines) or lines[i].strip() != "\\data\\":
-        raise ValueError(f"line {i + 1}: missing \\data\\ header")
-    i += 1
+    """Parse an ARPA file back into a model; errors name the offending line.
+
+    Reads the stream once. Blank lines are ignored anywhere, every value must
+    be finite, and an n-gram may not repeat within its section.
+    """
+    lines = _arpa_lines(stream)
+    line_no, _, stripped = next(lines)
+    if stripped != "\\data\\":
+        raise ValueError(f"line {line_no}: missing \\data\\ header")
     declared: dict[int, int] = {}
-    while i < len(lines) and lines[i].strip().startswith("ngram "):
-        body = lines[i].strip()[len("ngram ") :]
+    for line_no, line, stripped in lines:
+        if not stripped.startswith("ngram "):
+            break
         try:
-            order_text, count_text = body.split("=", 1)
+            order_text, count_text = stripped[len("ngram ") :].split("=", 1)
             declared[int(order_text)] = int(count_text)
         except ValueError:
-            raise ValueError(f"line {i + 1}: bad ngram count declaration {lines[i]!r}") from None
-        i += 1
+            raise ValueError(f"line {line_no}: bad ngram count declaration {line!r}") from None
+        last_declaration = line_no
     if not declared:
-        raise ValueError(f"line {i + 1}: no ngram counts declared")
+        raise ValueError(f"line {line_no}: no ngram counts declared")
     max_order = max(declared)
     # distinct orders, all >= 1 and as many as the largest: exactly 1..N
     if min(declared) < 1 or len(declared) != max_order:
-        raise ValueError(f"line {i}: ngram count declarations must cover orders 1..N")
+        raise ValueError(f"line {last_declaration}: ngram count declarations must cover orders 1..N")
 
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
     for k in range(1, max_order + 1):
-        while i < len(lines) and not lines[i].strip():
-            i += 1
         header = f"\\{k}-grams:"
-        if i >= len(lines) or lines[i].strip() != header:
-            raise ValueError(f"line {i + 1}: expected {header} section")
-        i += 1
+        if stripped != header:
+            raise ValueError(f"line {line_no}: expected {header} section")
         seen = 0
-        while i < len(lines):
-            line = lines[i]
-            if not line.strip():
-                i += 1
-                continue
-            if line.strip().startswith("\\"):
+        # the end-of-input line is empty, so it ends the last section too
+        for line_no, line, stripped in lines:
+            if not stripped or stripped.startswith("\\"):
                 break
             fields = line.split("\t")
             if len(fields) not in (2, 3):
-                raise ValueError(f"line {i + 1}: malformed entry, expected 2 or 3 tab-separated fields")
+                raise ValueError(f"line {line_no}: malformed entry, expected 2 or 3 tab-separated fields")
             try:
                 log10_prob = float(fields[0])
             except ValueError:
-                raise ValueError(f"line {i + 1}: bad log probability {fields[0]!r}") from None
+                raise ValueError(f"line {line_no}: bad log probability {fields[0]!r}") from None
+            # NaN compares false both ways, so it would win or lose a ranking silently
+            if not -math.inf < log10_prob < math.inf:
+                raise ValueError(f"line {line_no}: log probability must be finite, got {fields[0]!r}")
             gram = tuple(fields[1].split(" "))
             if len(gram) != k or not all(gram):
-                raise ValueError(f"line {i + 1}: expected a {k}-gram, got {fields[1]!r}")
-            probs[gram] = log10_prob * _LN10
+                raise ValueError(f"line {line_no}: expected a {k}-gram, got {fields[1]!r}")
+            prob = log10_prob * _LN10
+            if probs.setdefault(gram, prob) is not prob:
+                raise ValueError(f"line {line_no}: duplicate {k}-gram {fields[1]!r}")
             if len(fields) == 3:
                 try:
-                    backoffs[gram] = float(fields[2]) * _LN10
+                    log10_backoff = float(fields[2])
                 except ValueError:
-                    raise ValueError(f"line {i + 1}: bad backoff weight {fields[2]!r}") from None
+                    raise ValueError(f"line {line_no}: bad backoff weight {fields[2]!r}") from None
+                if not -math.inf < log10_backoff < math.inf:
+                    raise ValueError(f"line {line_no}: backoff weight must be finite, got {fields[2]!r}")
+                backoffs[gram] = log10_backoff * _LN10
             seen += 1
-            i += 1
         if seen != declared[k]:
             raise ValueError(
-                f"line {i + 1}: {k}-gram count mismatch, header declares {declared[k]} but section has {seen}"
+                f"line {line_no}: {k}-gram count mismatch, header declares {declared[k]} but section has {seen}"
             )
-    while i < len(lines) and not lines[i].strip():
-        i += 1
-    if i >= len(lines) or lines[i].strip() != "\\end\\":
-        raise ValueError(f"line {i + 1}: missing \\end\\ terminator")
+    if stripped != "\\end\\":
+        raise ValueError(f"line {line_no}: missing \\end\\ terminator")
 
     vocab = frozenset(gram[0] for gram in probs if len(gram) == 1)
     return NgramModel(max_order, probs, backoffs, vocab)
@@ -336,12 +348,6 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
 def load_scorer(path: str) -> LmScorer:
     """Load either an ARPA model or a sentence-score table, sniffing the format."""
     with open(path, encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            if line.strip():
-                first = line.strip()
-                break
-    with open(path, encoding="utf-8") as fh:
-        if first == "\\data\\":
-            return load_arpa(fh)
-        return LookupScorer.load(fh)
+        first = next((line.strip() for line in fh if line.strip()), "")
+        fh.seek(0)
+        return load_arpa(fh) if first == "\\data\\" else LookupScorer.load(fh)

@@ -32,7 +32,7 @@ class Candidate:
     """One alternative for a span, scored in the context of the whole sentence."""
 
     term: Label
-    candidate_sentence: str
+    candidate_sentence: tuple[str, ...]
     lm_score: float
     wf_score: float
     combined: float
@@ -93,7 +93,7 @@ class SimplificationResult:
                         "candidates": [
                             {
                                 "term": " ".join(c.term),
-                                "sentence": c.candidate_sentence,
+                                "sentence": " ".join(c.candidate_sentence),
                                 "lm": c.lm_score,
                                 "wf": c.wf_score,
                                 "combined": c.combined,
@@ -127,11 +127,11 @@ def rank_span(
     """
     candidates: list[Candidate] = []
     for label in group.labels:
-        sent = norms[: span.start] + list(label) + norms[span.end :]
+        sent = (*norms[: span.start], *label, *norms[span.end :])
         lm_score = lm.score(sent)
         wf_score = wf(label, freq)
         combined = alpha * lm_score + (1.0 - alpha) * wf_score
-        candidates.append(Candidate(label, " ".join(sent), lm_score, wf_score, combined))
+        candidates.append(Candidate(label, sent, lm_score, wf_score, combined))
     # labels are stored sorted and max keeps the first of equal keys, so the
     # smallest term wins ties
     best = max(candidates, key=lambda c: (c.combined, c.lm_score))

@@ -239,8 +239,9 @@ class TestTune:
         assert "best alpha: 0.80" in captured.err
 
     def test_bad_grid_is_usage_error(self, data_dir, capsys):
-        assert run(self.tune_args(data_dir, ["--grid", "zero:one:half"])) == 2
-        assert "bad grid spec" in capsys.readouterr().err
+        for spec in ("zero:one:half", "", ","):
+            assert run(self.tune_args(data_dir, ["--grid", spec])) == 2
+            assert f"bad grid spec {spec!r}" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plainterm.ngram_lm import (
     STOP,
@@ -188,6 +190,56 @@ class TestArpa:
         text = self.arpa_text().replace("\\end\\\n", "")
         with pytest.raises(ValueError, match=r"missing \\end\\"):
             load_arpa(io.StringIO(text))
+
+    def test_blank_lines_in_count_block_are_skipped(self):
+        text = self.arpa_text().replace("ngram 1=2\n", "\nngram 1=2\n\n")
+        assert load_arpa(io.StringIO(text)) == load_arpa(io.StringIO(self.arpa_text()))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "entry, what",
+        [("{}\tthe", "log probability"), ("-0.5\tthe\t{}", "backoff weight")],
+        ids=["prob", "backoff"],
+    )
+    def test_rejects_non_finite_value(self, entry, what, value):
+        text = self.arpa_text().replace("-0.5\tthe", entry.format(value))
+        with pytest.raises(ValueError, match=f"line 5: {what} must be finite, got '{value}'"):
+            load_arpa(io.StringIO(text))
+
+    def test_rejects_duplicate_ngram(self):
+        text = self.arpa_text().replace("-1.0\tdog", "-3.0\tthe")
+        with pytest.raises(ValueError, match="line 6: duplicate 1-gram 'the'"):
+            load_arpa(io.StringIO(text))
+
+
+CORPORA = st.lists(
+    st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6).map(" ".join), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    corpus=CORPORA,
+    order=st.integers(1, 4),
+    discount=st.sampled_from([0.1, 0.5, 0.75, 0.95]),
+    min_count=st.integers(1, 2),
+)
+def test_arpa_round_trip_on_random_models(corpus, order, discount, min_count):
+    model = train(corpus, order=order, discount=discount, min_count=min_count)
+    buf = io.StringIO()
+    save_arpa(model, buf)
+    text = buf.getvalue()
+    loaded = load_arpa(io.StringIO(text))
+    assert (loaded.order, loaded.vocab) == (model.order, model.vocab)
+    assert loaded.probs.keys() == model.probs.keys()
+    assert loaded.backoffs.keys() == model.backoffs.keys()
+    # the log10 conversion may move a value by an ulp, so compare to a tolerance
+    assert all(abs(loaded.probs[g] - p) <= 1e-12 for g, p in model.probs.items())
+    assert all(abs(loaded.backoffs[c] - b) <= 1e-12 for c, b in model.backoffs.items())
+    # ...but once saved, a model re-saves to the same bytes
+    again = io.StringIO()
+    save_arpa(loaded, again)
+    assert again.getvalue() == text
 
 
 class TestLookupScorer:

@@ -70,8 +70,8 @@ class TestRankSpan:
     def test_candidate_sentence_is_spliced(self):
         _, candidates = self.rank(alpha=1.0)
         by_term = {c.term: c.candidate_sentence for c in candidates}
-        assert by_term[("large",)] == "a large dog ."
-        assert by_term[("big",)] == "a big dog ."
+        assert by_term[("large",)] == ("a", "large", "dog", ".")
+        assert by_term[("big",)] == ("a", "big", "dog", ".")
 
     def test_wf_scores_the_bare_term(self):
         _, candidates = self.rank(alpha=0.5)
