@@ -72,16 +72,22 @@ def _load_models(
     return table, lm, freq
 
 
+def _config(alpha: float, max_iterations: int) -> simplifier.SimplifierConfig:
+    """A run's settings; a bad value is a flag error, so it is a usage error."""
+    try:
+        return simplifier.SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_simplify(args: argparse.Namespace) -> int:
+    config = _config(args.alpha, args.max_iterations)
     sentences = _read_lines(args.input)
     for line_no, sentence in enumerate(sentences, start=1):
         # the original is copied into the output row, so a tab would add columns
         if "\t" in sentence:
             raise ValueError(f"line {line_no}: input sentence contains a tab")
     table, lm, freq = _load_models(args)
-    config = simplifier.SimplifierConfig(
-        alpha=args.alpha, max_iterations=args.max_iterations
-    )
     results = [simplifier.simplify(s, table, lm, freq, config) for s in sentences]
     with _open_out(args.output) as out:
         for res in results:
@@ -198,6 +204,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else None
+    for alpha in grid or evaluation.default_alpha_grid():
+        _config(alpha, args.max_iterations)
     with open(args.dev, encoding="utf-8") as fh:
         pairs = [(source, reference) for _, (source, reference) in rows(fh, 2)]
     table, lm, freq = _load_models(args)

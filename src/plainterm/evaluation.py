@@ -287,7 +287,7 @@ def default_alpha_grid() -> list[float]:
 def grid_search_alpha(
     dev_pairs: Sequence[tuple[str, str]],
     table: PhraseTable,
-    lm: LmScorer,
+    lm: LmScorer | ScoreMemo,
     freq: FrequencyTable,
     grid: Sequence[float] | None = None,
     max_iterations: int = 5,
@@ -304,7 +304,8 @@ def grid_search_alpha(
     points = list(grid) if grid is not None else default_alpha_grid()
     if not points:
         raise ValueError("empty alpha grid")
-    lm = ScoreMemo(lm)
+    if not isinstance(lm, ScoreMemo):
+        lm = ScoreMemo(lm)
     curve: list[tuple[float, float]] = []
     best_alpha: float | None = None
     best_score = -math.inf

@@ -52,22 +52,47 @@ class LmScorer(Protocol):
 
 
 class ScoreMemo:
-    """LmScorer that asks an inner scorer once per distinct token sequence.
+    """Scores spliced sentences, asking an inner scorer once per distinct sentence.
 
     It keeps every score it has seen, so make one per call that scores many
-    overlapping sentences and let it go when that call returns.
+    overlapping sentences and let it go when that call returns. Around an
+    NgramModel it also keeps the per-position log-probabilities of each
+    sentence it splices into, so a splice rescores only the positions it
+    changed.
     """
 
     def __init__(self, lm: LmScorer) -> None:
         self.lm = lm
         self.scores: dict[tuple[str, ...], float] = {}
+        self.bases: dict[tuple[str, ...], list[float]] = {}
 
-    def score(self, tokens: Sequence[str]) -> float:
-        key = tuple(tokens)
-        score = self.scores.get(key)
+    def score_splice(
+        self, norms: tuple[str, ...], start: int, end: int, label: Sequence[str]
+    ) -> tuple[tuple[str, ...], float]:
+        """Score norms with norms[start:end] replaced by label; return (sentence, score).
+
+        For an NgramModel only positions start .. start + len(label) + order - 2
+        can change: later words see none of the splice in their context. The
+        others are the base's, and fsum of the same values in any order gives
+        the same float, so the score equals NgramModel.score of the sentence.
+        Any other scorer scores the whole sentence.
+        """
+        sent = (*norms[:start], *label, *norms[end:])
+        score = self.scores.get(sent)
         if score is None:
-            score = self.scores[key] = self.lm.score(key)
-        return score
+            lm = self.lm
+            if isinstance(lm, NgramModel):
+                base = self.bases.get(norms)
+                if base is None:
+                    base = self.bases[norms] = lm.logprobs(norms, 0, len(norms))
+                stop = min(start + len(label) + lm.order - 1, len(sent))
+                shift = end - start - len(label)
+                logps = base[:start] + lm.logprobs(sent, start, stop) + base[stop + shift :]
+                score = math.fsum(logps) / len(sent)
+            else:
+                score = lm.score(sent)
+            self.scores[sent] = score
+        return sent, score
 
 
 @dataclass
@@ -101,26 +126,31 @@ class NgramModel:
             raise ValueError(f"word {word!r} not in model vocabulary")
         return self.backoffs.get(ctx, 0.0) + self._logprob(ctx[1:], word)
 
-    def score(self, tokens: Sequence[str]) -> float:
-        """Mean natural-log probability of the tokens, start-padded, no end term."""
-        toks = list(tokens)
-        if not toks:
-            raise ValueError("cannot score empty sequence")
-        mapped = []
-        for tok in toks:
-            if tok in self.vocab:
-                mapped.append(tok)
-            elif UNK in self.vocab:
-                mapped.append(UNK)
+    def logprobs(self, tokens: Sequence[str], start: int, stop: int) -> list[float]:
+        """Natural-log P(token | the tokens before it) for each of tokens[start:stop].
+
+        The history is start-padded, and a word outside the vocabulary is
+        read as the unknown symbol.
+        """
+        n = self.order - 1
+        lo = max(start - n, 0)
+        # history[j : j + n] is the context of tokens[start + j]
+        history = [START] * (n - (start - lo))
+        vocab = self.vocab
+        for tok in tokens[lo:stop]:
+            if tok in vocab:
+                history.append(tok)
+            elif UNK in vocab:
+                history.append(UNK)
             else:
                 raise ValueError(f"word {tok!r} not in model vocabulary and model has no {UNK}")
-        history = [START] * (self.order - 1)
-        logps = []
-        for word in mapped:
-            ctx = tuple(history[-(self.order - 1) :]) if self.order > 1 else ()
-            logps.append(self._logprob(ctx, word))
-            history.append(word)
-        return math.fsum(logps) / len(logps)
+        return [self._logprob(tuple(history[j : j + n]), history[j + n]) for j in range(stop - start)]
+
+    def score(self, tokens: Sequence[str]) -> float:
+        """Mean natural-log probability of the tokens, start-padded, no end term."""
+        if not tokens:
+            raise ValueError("cannot score empty sequence")
+        return math.fsum(self.logprobs(tokens, 0, len(tokens))) / len(tokens)
 
 
 class LookupScorer:

@@ -109,26 +109,29 @@ class SimplificationResult:
 
 
 def rank_span(
-    norms: list[str],
+    norms: tuple[str, ...],
     span: Span,
     group: AlternativeGroup,
-    lm: LmScorer,
+    lm: LmScorer | ScoreMemo,
     freq: FrequencyTable,
     alpha: float,
 ) -> tuple[Label, list[Candidate]]:
     """Score every alternative for one span and pick the best term.
 
-    norms are the lowercased tokens of the pass input. The language model
-    sees the full sentence with the alternative spliced in; the frequency
-    score sees the bare term. Combined score is alpha * lm + (1 - alpha) * wf.
+    norms are the lowercased tokens of the pass input, as a tuple. The
+    language model scores the full sentence with the alternative spliced in,
+    through ScoreMemo.score_splice (a bare scorer is wrapped in a ScoreMemo
+    for this call); the frequency score sees the bare term. Combined score
+    is alpha * lm + (1 - alpha) * wf.
     Ties go to the higher lm score, then to the lexicographically smallest
     term. The matched text is itself a group label, so keeping it is one of
     the candidates and a span is only rewritten when an alternative beats it.
     """
+    if not isinstance(lm, ScoreMemo):
+        lm = ScoreMemo(lm)
     candidates: list[Candidate] = []
     for label in group.labels:
-        sent = (*norms[: span.start], *label, *norms[span.end :])
-        lm_score = lm.score(sent)
+        sent, lm_score = lm.score_splice(norms, span.start, span.end, label)
         wf_score = wf(label, freq)
         combined = alpha * lm_score + (1.0 - alpha) * wf_score
         candidates.append(Candidate(label, sent, lm_score, wf_score, combined))
@@ -141,7 +144,7 @@ def rank_span(
 def simplify_once(
     tokens: Sequence[Token],
     table: PhraseTable,
-    lm: LmScorer,
+    lm: LmScorer | ScoreMemo,
     freq: FrequencyTable,
     config: SimplifierConfig,
 ) -> tuple[list[Token], list[Replacement]]:
@@ -151,7 +154,7 @@ def simplify_once(
     left so earlier span offsets stay valid.
     """
     spans = extract_spans(tokens, table)
-    norms = [t.norm for t in tokens]
+    norms = tuple(t.norm for t in tokens)
     replacements: list[Replacement] = []
     for span in spans:
         group = table.group(span.group_id)
@@ -171,7 +174,7 @@ def simplify_once(
 def simplify(
     sentence: str,
     table: PhraseTable,
-    lm: LmScorer,
+    lm: LmScorer | ScoreMemo,
     freq: FrequencyTable,
     config: SimplifierConfig,
 ) -> SimplificationResult:
@@ -180,7 +183,9 @@ def simplify(
     The reported iteration count is the number of passes that changed the
     sentence; the trace has one entry per executed pass, so a run that
     converged before the cap ends with an empty trace entry. Each distinct
-    candidate sentence is scored by the language model once per call.
+    candidate sentence is scored by the language model once per call; an
+    NgramModel scores each distinct pass input once and rescores only each
+    candidate's changed window (see ScoreMemo.score_splice).
     """
     if not isinstance(lm, ScoreMemo):
         lm = ScoreMemo(lm)

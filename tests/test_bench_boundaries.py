@@ -1,13 +1,18 @@
-"""The benchmark's traced run must keep seeing every boundary it expects.
+"""The benchmark's gates, run at test scale.
 
 perfbench/tracing.py times the pipeline by wrapping the names it calls
 through, and perfbench/worker.py fails a traced run when an expected
 boundary sees no call. A change to the hot path that stops calling one of
 them would otherwise show only in a traced benchmark run, which takes
 minutes; here the same tracer runs over the small test fixtures.
+
+The benchmark also gates every run on output digests recorded in
+perfbench/digests.json. The ranking digest holds the repr of every
+lm_score, so the tiny-scale runs below pin each score bit for bit.
 """
 
 import importlib
+import json
 import pathlib
 import sys
 
@@ -49,3 +54,13 @@ def test_traced_run_observes_every_expected_boundary(bench, tune, workload):
         tracer.uninstall()
     unobserved = [name for name in worker.EXPECTED[workload] if not tracer.total(name)[0]]
     assert unobserved == []
+
+
+@pytest.mark.parametrize("workload", ["simplify-dense", "simplify-long", "tune-grid"])
+def test_tiny_run_matches_recorded_digests(bench, tmp_path, workload):
+    _, worker = bench
+    inputs = worker.prepare(workload, str(tmp_path), 5, "tiny")
+    out = worker.measure(workload, str(tmp_path), 0.0, False, False)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[f"tiny/5/{workload}"]
+    assert {"inputs": inputs, **out["digests"]} == recorded
+    assert out["failed"] == 0

@@ -122,6 +122,21 @@ class TestSimplify:
         assert out.read_text() == (data_dir / "pipeline_golden.tsv").read_text()
         assert "simplified 4 sentences: 3 changed, iterations mean=0.75 median=1\n" in err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--alpha", "1.5"], "alpha must be in [0, 1], got 1.5"),
+            (["--alpha", "nan"], "alpha must be in [0, 1], got nan"),
+            (["--max-iterations", "0"], "max_iterations must be >= 1"),
+        ],
+    )
+    def test_bad_setting_is_usage_error_before_any_load(self, data_dir, tmp_path, capsys, flag, message):
+        # loading the missing LM would exit 1
+        args = self.simplify_args(data_dir, flag)
+        args[args.index("--lm") + 1] = str(tmp_path / "missing.arpa")
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     def test_tab_in_input_exits_1(self, data_dir, tmp_path, capsys):
         # an unchanged sentence is copied verbatim, so its tab would add output columns
         source = tmp_path / "input.txt"
@@ -242,6 +257,13 @@ class TestTune:
         for spec in ("zero:one:half", "", ","):
             assert run(self.tune_args(data_dir, ["--grid", spec])) == 2
             assert f"bad grid spec {spec!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, bad", [("0.5,1.5", "1.5"), ("0.5,nan", "nan")])
+    def test_out_of_range_alpha_is_usage_error_before_any_load(self, data_dir, tmp_path, capsys, spec, bad):
+        args = self.tune_args(data_dir, ["--grid", spec])
+        args[args.index("--lm") + 1] = str(tmp_path / "missing.tsv")
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"usage error: alpha must be in [0, 1], got {bad}\n"
 
 
 class TestEntryPoints:

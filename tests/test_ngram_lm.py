@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plainterm.ngram_lm import (
+    START,
     STOP,
     UNK,
     LookupScorer,
     NgramModel,
+    ScoreMemo,
     load_arpa,
     load_scorer,
     save_arpa,
@@ -240,6 +242,65 @@ def test_arpa_round_trip_on_random_models(corpus, order, discount, min_count):
     again = io.StringIO()
     save_arpa(loaded, again)
     assert again.getvalue() == text
+
+
+def right_folded_score(model, tokens):
+    """Mean log-probability by a plain backoff walk, and the deepest backoff chain.
+
+    Each position adds its backoff weights from the innermost outwards,
+    b1 + (b2 + p), as NgramModel's recursion does.
+    """
+    n = model.order - 1
+    history = [START] * n
+    logps, depth = [], 0
+    for tok in tokens:
+        word = tok if tok in model.vocab else UNK
+        ctx = tuple(history[len(history) - n :])
+        weights = []
+        while ctx + (word,) not in model.probs:
+            weights.append(model.backoffs.get(ctx, 0.0))
+            ctx = ctx[1:]
+        value = model.probs[ctx + (word,)]
+        for weight in reversed(weights):
+            value = weight + value
+        logps.append(value)
+        depth = max(depth, len(weights))
+        history.append(word)
+    return math.fsum(logps) / len(logps), depth
+
+
+# x and y never occur in CORPORA, so they are read as <unk>
+WORDS = st.sampled_from("abcdefxy")
+SPLICES = st.tuples(st.integers(0, 8), st.integers(0, 8), st.lists(WORDS, min_size=1, max_size=3))
+
+
+def test_window_scores_equal_whole_sentence_scores():
+    depths = set()
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        corpus=CORPORA,
+        order=st.integers(1, 4),
+        min_count=st.integers(1, 2),
+        sentence=st.lists(WORDS, min_size=1, max_size=8),
+        splices=st.lists(SPLICES, min_size=1, max_size=4),
+    )
+    def check(corpus, order, min_count, sentence, splices):
+        model = train(corpus, order=order, min_count=min_count)
+        memo = ScoreMemo(model)
+        norms = tuple(sentence)
+        for a, b, label in splices:
+            start, end = sorted((min(a, len(norms)), min(b, len(norms))))
+            sent = (*norms[:start], *label, *norms[end:])
+            whole = model.score(sent)
+            reference, depth = right_folded_score(model, sent)
+            assert memo.score_splice(norms, start, end, tuple(label)) == (sent, whole)
+            assert whole == reference
+            depths.add(depth)
+
+    check()
+    # the association of the backoff sum only shows on chains of two or more
+    assert max(depths) >= 2
 
 
 class TestLookupScorer:

@@ -1,12 +1,15 @@
+import io
 import math
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plainterm.ngram_lm import LookupScorer, ScoreMemo
-from plainterm.ontology import PhraseTable, normalize_label, read_table
+import plainterm.simplifier
+from plainterm.ngram_lm import LookupScorer, ScoreMemo, load_arpa, save_arpa, train
+from plainterm.ontology import PhraseTable, align, normalize_label, parse_records, read_table
 from plainterm.simplifier import (
     SimplifierConfig,
     rank_span,
@@ -14,14 +17,14 @@ from plainterm.simplifier import (
     simplify_once,
 )
 from plainterm.textproc import extract_spans, tokenize
-from plainterm.wordfreq import EPSILON, FrequencyTable
+from plainterm.wordfreq import EPSILON, FrequencyTable, build_table
 
 
 def span_for(sentence, table):
     tokens = tokenize(sentence)
     spans = extract_spans(tokens, table)
     assert len(spans) == 1
-    return [t.norm for t in tokens], spans[0]
+    return tuple(t.norm for t in tokens), spans[0]
 
 
 class TestConfig:
@@ -248,6 +251,71 @@ class TestScoreMemo:
         self.run(two_stage, memo)
         self.run(two_stage, memo)
         assert set(scorer.calls.values()) == {1}
+
+
+class TestWindowScoring:
+    """Around an NgramModel, candidates are rescored only in their changed window."""
+
+    STAGE_INPUT = "Hyperlipidemia with elevated triglycerides ."
+
+    @pytest.fixture
+    def runs(self, data_dir, two_stage):
+        """An ARPA-loaded model, and (sentence, table, freq) for the pipeline and two-stage inputs."""
+        stage_table, stage_lm, stage_freq = two_stage
+        with open(data_dir / "pipeline_corpus.txt") as fh:
+            corpus = fh.read().splitlines()
+        buf = io.StringIO()
+        save_arpa(train([*corpus, *stage_lm.scores]), buf)
+        model = load_arpa(io.StringIO(buf.getvalue()))
+        with open(data_dir / "pipeline_ontology.tsv") as fh:
+            table = align(parse_records(fh))
+        freq = build_table(corpus)
+        with open(data_dir / "pipeline_input.txt") as fh:
+            runs = [(line.rstrip("\n"), table, freq) for line in fh]
+        return model, [*runs, (self.STAGE_INPUT, stage_table, stage_freq)]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+    def test_window_path_matches_whole_sentence_path(self, runs, counting, alpha):
+        model, inputs = runs
+        config = SimplifierConfig(alpha=alpha)
+        changed = 0
+        for sentence, table, freq in inputs:
+            window = simplify(sentence, table, model, freq, config)
+            # the proxy forwards only score, so every candidate is scored whole
+            whole = simplify(sentence, table, counting(model), freq, config)
+            assert window.to_dict() == whole.to_dict()
+            changed += window.changed
+        assert changed
+
+    def test_each_pass_input_scored_whole_once_per_call(self, runs, monkeypatch):
+        model, inputs = runs
+        whole = Counter()
+        logprobs = model.logprobs
+
+        def counted(tokens, start, stop):
+            # every candidate window in this fixture is shorter than its sentence
+            if (start, stop) == (0, len(tokens)):
+                whole[tuple(tokens)] += 1
+            return logprobs(tokens, start, stop)
+
+        passes = Counter()
+        simplify_once = plainterm.simplifier.simplify_once
+
+        def recorded(tokens, *args):
+            passes[tuple(t.norm for t in tokens)] += 1
+            return simplify_once(tokens, *args)
+
+        monkeypatch.setattr(model, "logprobs", counted)
+        monkeypatch.setattr(plainterm.simplifier, "simplify_once", recorded)
+        _, table, freq = inputs[-1]
+        config = SimplifierConfig(alpha=1.0)
+        result = simplify(self.STAGE_INPUT, table, model, freq, config)
+        assert result.iterations >= 1
+        assert whole == passes
+        assert set(whole.values()) == {1}
+        # no base outlives its call
+        simplify(self.STAGE_INPUT, table, model, freq, config)
+        assert whole == {key: 2 for key in passes}
 
 
 class TestRankingFixture:
