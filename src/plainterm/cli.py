@@ -17,7 +17,7 @@ import sys
 from typing import IO, ContextManager, Sequence
 
 from . import evaluation, ngram_lm, ontology, simplifier, wordfreq
-from .textproc import rows
+from .textproc import open_text, rows
 
 log = logging.getLogger("plainterm")
 
@@ -33,14 +33,14 @@ def _open_out(path: str | None) -> ContextManager[IO[str]]:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return [line.rstrip("\n") for line in fh]
 
 
 def cmd_build_table(args: argparse.Namespace) -> int:
     records = []
     for path in args.ontologies:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             records.extend(ontology.parse_records(fh))
     table = ontology.align(records, expand_plurals=args.plural_variants)
     with _open_out(args.output) as out:
@@ -50,7 +50,7 @@ def cmd_build_table(args: argparse.Namespace) -> int:
 
 
 def cmd_train_lm(args: argparse.Namespace) -> int:
-    with open(args.corpus, encoding="utf-8") as fh:
+    with open_text(args.corpus) as fh:
         model = ngram_lm.train(
             fh, order=args.order, discount=args.discount, min_count=args.min_count
         )
@@ -64,10 +64,10 @@ def _load_models(
     args: argparse.Namespace,
 ) -> tuple[ontology.PhraseTable, ngram_lm.LmScorer, wordfreq.FrequencyTable]:
     """Load the --table, --lm and --freq files shared by simplify and tune."""
-    with open(args.table, encoding="utf-8") as fh:
+    with open_text(args.table) as fh:
         table = ontology.read_table(fh)
     lm = ngram_lm.load_scorer(args.lm)
-    with open(args.freq, encoding="utf-8") as fh:
+    with open_text(args.freq) as fh:
         freq = wordfreq.load_table(fh)
     return table, lm, freq
 
@@ -111,11 +111,11 @@ def cmd_simplify(args: argparse.Namespace) -> int:
 
 
 def _evaluate_judgments(args: argparse.Namespace, out_lines: list[str]) -> None:
-    with open(args.judgments, encoding="utf-8", newline="") as fh:
+    with open_text(args.judgments, newline="") as fh:
         records = evaluation.load_judgments(fh)
     unchanged: list[tuple[str, str]] = []
     if args.unchanged:
-        with open(args.unchanged, encoding="utf-8", newline="") as fh:
+        with open_text(args.unchanged, newline="") as fh:
             unchanged = evaluation.load_unchanged(fh)
     counts = evaluation.aggregate_judgments(records, unchanged, replications=args.replications)
     out_lines.append(evaluation.format_report(counts, fmt=args.format).rstrip("\n"))
@@ -131,24 +131,21 @@ def _evaluate_judgments(args: argparse.Namespace, out_lines: list[str]) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    want_bleu = args.bleu
-    want_sari = args.sari
-    want_sg = args.sg
-    auto = not (want_bleu or want_sari or want_sg)
-    if want_bleu and not (args.outputs and args.references):
+    have_bleu = bool(args.outputs and args.references)
+    have_sari = have_bleu and bool(args.sources)
+    have_sg = bool(args.judgments)
+    if args.bleu and not have_bleu:
         raise UsageError("--bleu needs --outputs and --references")
-    if want_sari and not (args.outputs and args.sources and args.references):
+    if args.sari and not have_sari:
         raise UsageError("--sari needs --outputs, --sources and --references")
-    if want_sg and not args.judgments:
+    if args.sg and not have_sg:
         raise UsageError("--sg needs --judgments")
-    if auto:
-        want_bleu = bool(args.outputs and args.references)
-        want_sari = bool(args.outputs and args.sources and args.references)
-        want_sg = bool(args.judgments)
-        if not (want_bleu or want_sari or want_sg):
-            raise UsageError(
-                "nothing to evaluate: provide --outputs with --references, and/or --judgments"
-            )
+    if args.bleu or args.sari or args.sg:
+        want_bleu, want_sari, want_sg = args.bleu, args.sari, args.sg
+    elif have_bleu or have_sari or have_sg:
+        want_bleu, want_sari, want_sg = have_bleu, have_sari, have_sg
+    else:
+        raise UsageError("nothing to evaluate: provide --outputs with --references, and/or --judgments")
 
     out_lines: list[str] = []
     if want_bleu or want_sari:
@@ -206,7 +203,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else None
     for alpha in grid or evaluation.default_alpha_grid():
         _config(alpha, args.max_iterations)
-    with open(args.dev, encoding="utf-8") as fh:
+    with open_text(args.dev) as fh:
         pairs = [(source, reference) for _, (source, reference) in rows(fh, 2)]
     table, lm, freq = _load_models(args)
     best_alpha, curve = evaluation.grid_search_alpha(

@@ -307,8 +307,6 @@ def grid_search_alpha(
     if not isinstance(lm, ScoreMemo):
         lm = ScoreMemo(lm)
     curve: list[tuple[float, float]] = []
-    best_alpha: float | None = None
-    best_score = -math.inf
     for alpha in points:
         config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
         scores = [
@@ -317,36 +315,25 @@ def grid_search_alpha(
         ]
         mean_sari = math.fsum(scores) / len(scores)
         curve.append((alpha, mean_sari))
-        if (
-            best_alpha is None
-            or mean_sari > best_score
-            or (mean_sari == best_score and alpha < best_alpha)
-        ):
-            best_alpha = alpha
-            best_score = mean_sari
-    assert best_alpha is not None
+    best_alpha, _ = max(curve, key=lambda point: (point[1], -point[0]))
     return best_alpha, curve
 
 
 def format_report(counts_by_system: dict[str, EvalCounts], fmt: str = "table") -> str:
     """Render per-system counts and simplification gain as TSV or aligned text."""
-    header = ["system", "S", "F", "E", "N", "U", "SG"]
-    rows = []
+    rows = [["system", "S", "F", "E", "N", "U", "SG"]]
     for system_id in sorted(counts_by_system):
         c = counts_by_system[system_id]
         gain = simplification_gain(c)
         rows.append([system_id, str(c.s), str(c.f), str(c.e), str(c.n), str(c.u), f"{gain:.2f}"])
     if fmt == "tsv":
-        lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
-    if fmt != "table":
-        raise ValueError(f"unknown report format {fmt!r}")
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i]) for i in range(len(header))]
-    lines = [
-        "  ".join(h.ljust(widths[i]) if i == 0 else h.rjust(widths[i]) for i, h in enumerate(header))
-    ]
-    for row in rows:
-        lines.append(
+        lines = ["\t".join(row) for row in rows]
+    elif fmt == "table":
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = [
             "  ".join(cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i]) for i, cell in enumerate(row))
-        )
+            for row in rows
+        ]
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from .textproc import rows
+from .textproc import open_text, rows
 
 __all__ = [
     "START",
@@ -119,12 +119,18 @@ class NgramModel:
         return self._logprob(ctx, word)
 
     def _logprob(self, ctx: tuple[str, ...], word: str) -> float:
-        prob = self.probs.get(ctx + (word,))
-        if prob is not None:
-            return prob
-        if not ctx:
-            raise ValueError(f"word {word!r} not in model vocabulary")
-        return self.backoffs.get(ctx, 0.0) + self._logprob(ctx[1:], word)
+        # a loop, so a model of any order scores; the backoff weights are
+        # added innermost first, b1 + (b2 + p), since float addition does not
+        # associate and rankings depend on exact scores
+        weights = []
+        while (prob := self.probs.get(ctx + (word,))) is None:
+            if not ctx:
+                raise ValueError(f"word {word!r} not in model vocabulary")
+            weights.append(self.backoffs.get(ctx, 0.0))
+            ctx = ctx[1:]
+        while weights:
+            prob = weights.pop() + prob
+        return prob
 
     def logprobs(self, tokens: Sequence[str], start: int, stop: int) -> list[float]:
         """Natural-log P(token | the tokens before it) for each of tokens[start:stop].
@@ -134,7 +140,6 @@ class NgramModel:
         """
         n = self.order - 1
         lo = max(start - n, 0)
-        # history[j : j + n] is the context of tokens[start + j]
         history = [START] * (n - (start - lo))
         vocab = self.vocab
         for tok in tokens[lo:stop]:
@@ -144,7 +149,9 @@ class NgramModel:
                 history.append(UNK)
             else:
                 raise ValueError(f"word {tok!r} not in model vocabulary and model has no {UNK}")
-        return [self._logprob(tuple(history[j : j + n]), history[j + n]) for j in range(stop - start)]
+        # words[j : j + n] is the context of tokens[start + j], taken in one slice
+        words = tuple(history)
+        return [self._logprob(words[j : j + n], words[j + n]) for j in range(stop - start)]
 
     def score(self, tokens: Sequence[str]) -> float:
         """Mean natural-log probability of the tokens, start-padded, no end term."""
@@ -172,7 +179,7 @@ class LookupScorer:
         raise ValueError(f"no stored score for {key!r}")
 
     @classmethod
-    def load(cls, stream: IO[str] | Iterable[str], default: float | None = None) -> "LookupScorer":
+    def load(cls, stream: IO[str] | Iterable[str]) -> "LookupScorer":
         """Load sentence<TAB>score rows; scores must be finite numbers."""
         scores: dict[str, float] = {}
         for line_no, (sentence, text) in rows(stream, 2):
@@ -184,7 +191,7 @@ class LookupScorer:
             if not math.isfinite(score):
                 raise ValueError(f"line {line_no}: score must be finite, got {text!r}")
             scores[sentence] = score
-        return cls(scores, default)
+        return cls(scores)
 
 
 def train(
@@ -377,7 +384,7 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
 
 def load_scorer(path: str) -> LmScorer:
     """Load either an ARPA model or a sentence-score table, sniffing the format."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = next((line.strip() for line in fh if line.strip()), "")
         fh.seek(0)
         return load_arpa(fh) if first == "\\data\\" else LookupScorer.load(fh)

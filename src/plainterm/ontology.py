@@ -95,6 +95,10 @@ class PhraseTable:
 
 def normalize_label(text: str) -> Label:
     """Lowercase, collapse whitespace, and split off punctuation."""
+    # a lowercase label of alphanumeric words has no punctuation to split off,
+    # so splitting on spaces gives the tokenizer's result
+    if text.replace(" ", "").isalnum() and text == text.lower():
+        return tuple(text.split())
     return tuple(tok.norm for tok in tokenize(text))
 
 
@@ -105,14 +109,6 @@ def pluralize(word: str) -> str:
     if word.endswith(_SIBILANT_ENDINGS):
         return word + "es"
     return word + "s"
-
-
-def _table_label(text: str) -> Label:
-    # same result as normalize_label; a lowercase label of alphanumeric words
-    # has no punctuation to split off, so splitting on spaces is enough
-    if text.replace(" ", "").isalnum() and text == text.lower():
-        return tuple(text.split())
-    return normalize_label(text)
 
 
 def _plural_variant(label: Label) -> Label | None:
@@ -235,7 +231,7 @@ def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
             group_id = int(cols[0])
         except ValueError:
             raise ValueError(f"line {line_no}: bad group id {cols[0]!r}") from None
-        label = _table_label(cols[1])
+        label = normalize_label(cols[1])
         if not label:
             raise ValueError(f"line {line_no}: empty label")
         if group_of.setdefault(label, group_id) != group_id:

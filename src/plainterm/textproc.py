@@ -1,7 +1,8 @@
-"""Tokenization and greedy phrase-table span matching."""
+"""Tokenization, greedy phrase-table span matching, and reading text inputs."""
 
 from __future__ import annotations
 
+import contextlib
 import unicodedata
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -16,6 +17,7 @@ __all__ = [
     "detokenize",
     "extract_spans",
     "rows",
+    "open_text",
 ]
 
 
@@ -115,3 +117,26 @@ def rows(stream: IO[str] | Iterable[str], ncols: int) -> Iterator[tuple[int, lis
         if len(cols) != ncols:
             raise ValueError(f"line {line_no}: expected {ncols} columns, got {len(cols)}")
         yield line_no, cols
+
+
+@contextlib.contextmanager
+def open_text(path: str, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open a UTF-8 text input; a byte that does not decode raises ValueError naming its line.
+
+    The text layer decodes in chunks, so the line a reader had reached when
+    the decode failed says nothing about where the bad byte is. Only on that
+    failure is the file read again as bytes, split into lines as text mode
+    splits them, to find the first line that does not decode.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for line_no, line in enumerate(data.splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {line_no}: not valid UTF-8: {exc.reason}") from None
+        raise

@@ -1,4 +1,5 @@
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -102,3 +103,16 @@ def oscillator():
     table = PhraseTable.from_groups([["a", "b"], ["c", "d"]])
     lm = LookupScorer({"x a c .": -5.0, "x b c .": -1.0, "x a d .": -1.0, "x b d .": -5.0})
     return table, lm, FrequencyTable({})
+
+
+@pytest.fixture
+def deep_arpa(tmp_path):
+    """An ARPA file declaring orders 1 to 100 past the recursion limit, with only unigrams."""
+    order = sys.getrecursionlimit() + 100
+    lines = ["\\data\\", "ngram 1=3", *(f"ngram {k}=0" for k in range(2, order + 1)), ""]
+    lines += ["\\1-grams:", "-99\t<s>", "-1.0\t<unk>", "-1.5\t</s>", ""]
+    lines += [f"\\{k}-grams:" for k in range(2, order + 1)]
+    lines += ["", "\\end\\", ""]
+    path = tmp_path / "deep.arpa"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path

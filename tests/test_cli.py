@@ -137,6 +137,14 @@ class TestSimplify:
         assert run(args) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
+    def test_model_deeper_than_the_recursion_limit(self, data_dir, deep_arpa, capsys):
+        args = self.simplify_args(data_dir)
+        args[args.index("--lm") + 1] = str(deep_arpa)
+        assert run(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("Patient had multiple myocardial infarctions .\t")
+        assert "Traceback" not in captured.err
+
     def test_tab_in_input_exits_1(self, data_dir, tmp_path, capsys):
         # an unchanged sentence is copied verbatim, so its tab would add output columns
         source = tmp_path / "input.txt"
@@ -217,6 +225,30 @@ class TestEvaluate:
         assert run(["evaluate", "--bleu"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, given, message",
+        [
+            ("--bleu", ["--outputs"], "--bleu needs --outputs and --references"),
+            ("--sari", ["--outputs", "--references"], "--sari needs --outputs, --sources and --references"),
+            ("--sari", ["--outputs", "--sources"], "--sari needs --outputs, --sources and --references"),
+            ("--sg", ["--outputs", "--references"], "--sg needs --judgments"),
+        ],
+    )
+    def test_metric_flag_names_its_missing_inputs(self, tmp_path, capsys, flag, given, message):
+        sources, outputs, references = self.write_sentences(tmp_path)
+        files = {"--sources": sources, "--outputs": outputs, "--references": references}
+        argv = ["evaluate", flag]
+        for name in given:
+            argv += [name, str(files[name])]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_bleu_flag_computes_only_bleu(self, tmp_path, capsys):
+        sources, outputs, references = self.write_sentences(tmp_path)
+        argv = ["evaluate", "--bleu", "--sources", str(sources), "--outputs", str(outputs)]
+        assert run(argv + ["--references", str(references)]) == 0
+        assert capsys.readouterr().out == "BLEU\t100.00\n"
+
     def test_no_inputs_at_all(self, capsys):
         assert run(["evaluate"]) == 2
         assert "nothing to evaluate" in capsys.readouterr().err
@@ -264,6 +296,54 @@ class TestTune:
         args[args.index("--lm") + 1] = str(tmp_path / "missing.tsv")
         assert run(args) == 2
         assert capsys.readouterr().err == f"usage error: alpha must be in [0, 1], got {bad}\n"
+
+
+class TestUndecodableInput:
+    def argv(self, command, data_dir, tmp_path):
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("the cat sat .\n")
+        judgments = tmp_path / "judgments.csv"
+        judgments.write_text("s1,a,S\ns2,a,F\n")
+        unchanged = tmp_path / "unchanged.csv"
+        unchanged.write_text("s3,a\n")
+        d = data_dir
+        return {
+            "build-table": ["build-table", d / "otalgia_ontology.tsv"],
+            "train-lm": ["train-lm", d / "pipeline_corpus.txt"],
+            "simplify": [
+                "simplify", "--input", d / "ranking_input.txt", "--table", d / "ranking_table.tsv",
+                "--lm", d / "ranking_lm.tsv", "--freq", d / "ranking_freq.tsv",
+            ],
+            "evaluate": [
+                "evaluate", "--outputs", sentences, "--sources", sentences, "--references", sentences,
+                "--judgments", judgments, "--unchanged", unchanged,
+            ],
+            "tune": [
+                "tune", "--dev", d / "tune_dev.tsv", "--table", d / "tune_table.tsv",
+                "--lm", d / "tune_lm.tsv", "--freq", d / "tune_freq.tsv",
+            ],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("build-table", None),
+            ("train-lm", None),
+            *(("simplify", flag) for flag in ("--input", "--table", "--lm", "--freq")),
+            *(("evaluate", flag) for flag in ("--outputs", "--sources", "--references", "--judgments", "--unchanged")),
+            *(("tune", flag) for flag in ("--dev", "--table", "--lm", "--freq")),
+        ],
+    )
+    def test_bad_byte_names_its_line(self, data_dir, tmp_path, capsys, command, flag):
+        # every loader skips lines of spaces; 1500 of them put the bad byte
+        # past the text layer's first decode chunk, and a lone CR ends a line
+        # in text mode as LF does
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes((b" " * 20 + b"\r") * 750 + (b" " * 20 + b"\n") * 750 + b"\xff\n")
+        argv = self.argv(command, data_dir, tmp_path)
+        argv[argv.index(flag) + 1 if flag else 1] = bad
+        assert run([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == "error: line 1501: not valid UTF-8: invalid start byte\n"
 
 
 class TestEntryPoints:

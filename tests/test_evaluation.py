@@ -287,6 +287,14 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="empty alpha grid"):
             grid_search_alpha(pairs, table, lm, freq, grid=[])
 
+    def test_ties_go_to_the_smallest_alpha_of_an_unsorted_grid(self, tune):
+        _, table, lm, freq = tune
+        # nothing in the source matches the table, so every alpha scores the same
+        best, curve = grid_search_alpha([("baz .", "baz .")], table, lm, freq, grid=[0.7, 0.3, 0.9, 0.35])
+        assert [alpha for alpha, _ in curve] == [0.7, 0.3, 0.9, 0.35]
+        assert len({score for _, score in curve}) == 1
+        assert best == 0.3
+
 
 class TestReport:
     def counts(self):
@@ -306,6 +314,31 @@ class TestReport:
         assert lines[0].split() == ["system", "S", "F", "E", "N", "U", "SG"]
         assert lines[1].startswith("human")
         assert lines[1].rstrip().endswith("0.40")
+
+    @pytest.mark.parametrize(
+        "counts, fmt, expected",
+        [
+            ({}, "table", "system  S  F  E  N  U  SG\n"),
+            ({}, "tsv", "system\tS\tF\tE\tN\tU\tSG\n"),
+            (
+                {"a-very-long-system-name": EvalCounts(123, 4, 5, 6, 7), "b": EvalCounts(0, 1, 0, 0, 0)},
+                "table",
+                "system                     S  F  E  N  U     SG\n"
+                "a-very-long-system-name  123  4  5  6  7   0.82\n"
+                "b                          0  1  0  0  0  -1.00\n",
+            ),
+            (
+                {"a-very-long-system-name": EvalCounts(123, 4, 5, 6, 7), "b": EvalCounts(0, 1, 0, 0, 0)},
+                "tsv",
+                "system\tS\tF\tE\tN\tU\tSG\n"
+                "a-very-long-system-name\t123\t4\t5\t6\t7\t0.82\n"
+                "b\t0\t1\t0\t0\t0\t-1.00\n",
+            ),
+        ],
+        ids=["empty-table", "empty-tsv", "wide-table", "wide-tsv"],
+    )
+    def test_exact_bytes(self, counts, fmt, expected):
+        assert format_report(counts, fmt=fmt) == expected
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown report format"):

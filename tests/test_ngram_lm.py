@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,13 @@ class TestModelInvariants:
         model_b = train(shuffled, order=3, discount=0.75, min_count=1)
         assert model_a.probs == model_b.probs
         assert model_a.backoffs == model_b.backoffs
+
+    def test_backoff_weights_add_innermost_first(self):
+        # with these values the other associations of the sum differ in the last bit
+        b1, b2, p = -0.1, -0.2, -0.3
+        model = NgramModel(3, {("c",): p}, {("a", "b"): b1, ("b",): b2}, frozenset("abc"))
+        assert b1 + (b2 + p) not in (b2 + (b1 + p), (b1 + b2) + p)
+        assert model.logprob(["a", "b"], "c") == b1 + (b2 + p)
 
     def test_score_is_mean_of_logprobs(self):
         model = train(["a a", "a a"], order=2, discount=0.75, min_count=1)
@@ -248,7 +256,7 @@ def right_folded_score(model, tokens):
     """Mean log-probability by a plain backoff walk, and the deepest backoff chain.
 
     Each position adds its backoff weights from the innermost outwards,
-    b1 + (b2 + p), as NgramModel's recursion does.
+    b1 + (b2 + p), as NgramModel does.
     """
     n = model.order - 1
     history = [START] * n
@@ -301,6 +309,13 @@ def test_window_scores_equal_whole_sentence_scores():
     check()
     # the association of the backoff sum only shows on chains of two or more
     assert max(depths) >= 2
+
+
+def test_model_deeper_than_the_recursion_limit_scores(deep_arpa):
+    model = load_scorer(str(deep_arpa))
+    assert model.order > sys.getrecursionlimit()
+    # every word is <unk>, and each backs off through all order - 1 empty contexts
+    assert model.score(["a", "b", "."]) == -1.0 * LN10
 
 
 class TestLookupScorer:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from plainterm.ontology import (
     PhraseTable,
-    _table_label,
     align,
     normalize_label,
     parse_records,
@@ -213,4 +212,4 @@ LABEL_CHARS = "abzAZ09 _-.,'()/\u00e9\u00c9\u00df\u03a3\u03c3\u03c2\u0130\u0131\
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
 @given(text=st.one_of(st.text(alphabet=LABEL_CHARS, max_size=20), st.text(max_size=20)))
 def test_table_label_fast_path_equals_normalize_label(text):
-    assert _table_label(text) == normalize_label(text)
+    assert normalize_label(text) == tuple(t.norm for t in tokenize(text))
