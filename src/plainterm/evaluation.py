@@ -145,8 +145,9 @@ def aggregate_judgments(
     return result
 
 
-def _ngram_counter(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
+    """Count the n-grams of tokens, keyed by tuple, in order of first occurrence."""
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def _sari_ngram(
@@ -155,30 +156,46 @@ def _sari_ngram(
     refs: Sequence[Sequence[str]],
     n: int,
 ) -> tuple[float, float, float]:
-    # one n-gram level of SARI: keep F1, delete precision, add F1
+    # one n-gram level of SARI: keep F1, delete precision, add F1. Source and
+    # output counts are scaled by the number of references. One walk over the
+    # source n-grams in first-occurrence order yields the keep and delete
+    # ratios in the order Counter & and - would list them, so each sum adds
+    # the same floats in the same sequence.
     numref = len(refs)
-    s_counts = _ngram_counter(src, n)
-    c_counts = _ngram_counter(out, n)
+    s_counts = _ngram_counts(src, n)
+    c_counts = _ngram_counts(out, n)
     r_counts: Counter[tuple[str, ...]] = Counter()
     for ref in refs:
-        r_counts.update(_ngram_counter(ref, n))
-    s_rep = Counter({g: c * numref for g, c in s_counts.items()})
-    c_rep = Counter({g: c * numref for g, c in c_counts.items()})
+        r_counts.update(_ngram_counts(ref, n))
 
-    keep_cand = s_rep & c_rep
-    keep_good = keep_cand & r_counts
-    keep_all = s_rep & r_counts
-    keep_p = sum(keep_good[g] / keep_cand[g] for g in keep_good) / len(keep_cand) if keep_cand else 0.0
-    keep_r = sum(keep_good[g] / keep_all[g] for g in keep_good) / len(keep_all) if keep_all else 0.0
+    keep_p_terms: list[float] = []
+    keep_r_terms: list[float] = []
+    del_terms: list[float] = []
+    keep_cands = keep_alls = del_cands = 0
+    for gram, s in s_counts.items():
+        s *= numref
+        c = c_counts.get(gram, 0) * numref
+        r = r_counts.get(gram, 0)
+        if c:
+            keep_cands += 1
+            if r:
+                keep_good = min(s, c, r)
+                keep_p_terms.append(keep_good / min(s, c))
+                keep_r_terms.append(keep_good / min(s, r))
+        if r:
+            keep_alls += 1
+        if s > c:
+            del_cands += 1
+            if s - c > r:
+                del_terms.append((s - c - r) / (s - c))
+    keep_p = sum(keep_p_terms) / keep_cands if keep_cands else 0.0
+    keep_r = sum(keep_r_terms) / keep_alls if keep_alls else 0.0
     keep = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p > 0 or keep_r > 0 else 0.0
+    delete = sum(del_terms) / del_cands if del_cands else 0.0
 
-    del_cand = s_rep - c_rep
-    del_good = del_cand - r_counts
-    delete = sum(del_good[g] / del_cand[g] for g in del_good) / len(del_cand) if del_cand else 0.0
-
-    add_cand = set(c_counts) - set(s_counts)
-    add_good = add_cand & set(r_counts)
-    add_all = set(r_counts) - set(s_counts)
+    add_cand = c_counts.keys() - s_counts.keys()
+    add_good = add_cand & r_counts.keys()
+    add_all = r_counts.keys() - s_counts.keys()
     add_p = len(add_good) / len(add_cand) if add_cand else 0.0
     add_r = len(add_good) / len(add_all) if add_all else 0.0
     add = 2 * add_p * add_r / (add_p + add_r) if add_p > 0 or add_r > 0 else 0.0
@@ -234,8 +251,8 @@ def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> f
         matched = 0
         total = 0
         for out_t, ref_t in zip(out_tokens, ref_tokens):
-            out_counts = _ngram_counter(out_t, n)
-            ref_counts = _ngram_counter(ref_t, n)
+            out_counts = _ngram_counts(out_t, n)
+            ref_counts = _ngram_counts(ref_t, n)
             total += sum(out_counts.values())
             matched += sum(min(c, ref_counts[g]) for g, c in out_counts.items())
         if matched == 0 or total == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .textproc import open_text, rows
@@ -163,9 +164,8 @@ class NgramModel:
 class LookupScorer:
     """LmScorer serving fixed scores keyed by the space-joined token sequence."""
 
-    def __init__(self, scores: Mapping[str, float], default: float | None = None) -> None:
+    def __init__(self, scores: Mapping[str, float]) -> None:
         self.scores = dict(scores)
-        self.default = default
 
     def score(self, tokens: Sequence[str]) -> float:
         toks = list(tokens)
@@ -174,8 +174,6 @@ class LookupScorer:
         key = " ".join(toks)
         if key in self.scores:
             return self.scores[key]
-        if self.default is not None:
-            return self.default
         raise ValueError(f"no stored score for {key!r}")
 
     @classmethod
@@ -278,22 +276,34 @@ def train(
 
 
 def save_arpa(model: NgramModel, stream: IO[str]) -> None:
-    """Write the model in ARPA text format (log10, tab-separated)."""
+    """Write the model in ARPA text format (log10, tab-separated).
+
+    Each section lists its n-grams in tuple order: stable sorts on each word
+    from the last to the first give that order, comparing plain strings
+    instead of tuples, in place.
+    """
     by_order: dict[int, list[tuple[str, ...]]] = defaultdict(list)
     for gram in model.probs:
         by_order[len(gram)].append(gram)
+    probs, backoffs = model.probs, model.backoffs
+
+    def lines(grams: Iterable[tuple[str, ...]]) -> Iterator[str]:
+        for gram in grams:
+            backoff = backoffs.get(gram)
+            if backoff is None:
+                yield f"{probs[gram] / _LN10!r}\t{' '.join(gram)}\n"
+            else:
+                yield f"{probs[gram] / _LN10!r}\t{' '.join(gram)}\t{backoff / _LN10!r}\n"
+
     stream.write("\\data\\\n")
     for k in range(1, model.order + 1):
         stream.write(f"ngram {k}={len(by_order.get(k, []))}\n")
     for k in range(1, model.order + 1):
         stream.write(f"\n\\{k}-grams:\n")
-        for gram in sorted(by_order.get(k, [])):
-            log10_prob = model.probs[gram] / _LN10
-            line = f"{log10_prob!r}\t{' '.join(gram)}"
-            backoff = model.backoffs.get(gram)
-            if backoff is not None:
-                line += f"\t{backoff / _LN10!r}"
-            stream.write(line + "\n")
+        grams = by_order.get(k, [])
+        for i in reversed(range(k)):
+            grams.sort(key=itemgetter(i))
+        stream.writelines(lines(grams))
     stream.write("\n\\end\\\n")
 
 

@@ -23,6 +23,16 @@ class CountingScorer:
         return self.lm.score(tokens)
 
 
+class ConstantScorer:
+    """LmScorer giving every sentence the same score."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def score(self, tokens):
+        return self.value
+
+
 @pytest.fixture
 def data_dir():
     return DATA
@@ -31,6 +41,11 @@ def data_dir():
 @pytest.fixture
 def counting():
     return CountingScorer
+
+
+@pytest.fixture
+def constant():
+    return ConstantScorer
 
 
 @pytest.fixture

@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's own code paths: plain loops, dicts,
 and transitive closure instead of union-find, Counter algebra, or greedy
-scanning. They are slow and obvious on purpose.
+scanning. They are slow and obvious on purpose. The frozen copies at the
+end are the exception: they keep earlier implementations as they were, as
+exact references for faster rewrites.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 
 def naive_plural(word):
@@ -146,3 +149,102 @@ def bleu_score(outputs, references):
     geo = math.exp(sum(math.log(p) for p in precisions) / 4)
     bp = 1.0 if out_len > ref_len else math.exp(1 - ref_len / out_len)
     return 100.0 * bp * geo
+
+
+# Frozen copies: a faster rewrite must give the same floats (the same repr)
+# and the same bytes as these, so they keep the old code paths, Counter
+# algebra and tuple sorts included.
+
+
+def _frozen_ngram_counter(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _frozen_sari_ngram(src, out, refs, n):
+    numref = len(refs)
+    s_counts = _frozen_ngram_counter(src, n)
+    c_counts = _frozen_ngram_counter(out, n)
+    r_counts = Counter()
+    for ref in refs:
+        r_counts.update(_frozen_ngram_counter(ref, n))
+    s_rep = Counter({g: c * numref for g, c in s_counts.items()})
+    c_rep = Counter({g: c * numref for g, c in c_counts.items()})
+
+    keep_cand = s_rep & c_rep
+    keep_good = keep_cand & r_counts
+    keep_all = s_rep & r_counts
+    keep_p = sum(keep_good[g] / keep_cand[g] for g in keep_good) / len(keep_cand) if keep_cand else 0.0
+    keep_r = sum(keep_good[g] / keep_all[g] for g in keep_good) / len(keep_all) if keep_all else 0.0
+    keep = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p > 0 or keep_r > 0 else 0.0
+
+    del_cand = s_rep - c_rep
+    del_good = del_cand - r_counts
+    delete = sum(del_good[g] / del_cand[g] for g in del_good) / len(del_cand) if del_cand else 0.0
+
+    add_cand = set(c_counts) - set(s_counts)
+    add_good = add_cand & set(r_counts)
+    add_all = set(r_counts) - set(s_counts)
+    add_p = len(add_good) / len(add_cand) if add_cand else 0.0
+    add_r = len(add_good) / len(add_all) if add_all else 0.0
+    add = 2 * add_p * add_r / (add_p + add_r) if add_p > 0 or add_r > 0 else 0.0
+
+    return keep, delete, add
+
+
+def frozen_sari_components(source, output, references):
+    """SARI keep, delete and add components by per-level Counter & and -."""
+    src = source.lower().split()
+    out = output.lower().split()
+    refs = [r.lower().split() for r in references]
+    keep_sum = del_sum = add_sum = 0.0
+    for n in range(1, 5):
+        keep, delete, add = _frozen_sari_ngram(src, out, refs, n)
+        keep_sum += keep
+        del_sum += delete
+        add_sum += add
+    return 100.0 * keep_sum / 4, 100.0 * del_sum / 4, 100.0 * add_sum / 4
+
+
+def frozen_bleu(outputs, references, max_n=4):
+    """Corpus BLEU, counting each sentence's n-grams by tuple slices."""
+    out_tokens = [o.split() for o in outputs]
+    ref_tokens = [r.split() for r in references]
+    out_len = sum(len(t) for t in out_tokens)
+    ref_len = sum(len(t) for t in ref_tokens)
+    if out_len == 0:
+        return 0.0
+    log_precisions = []
+    for n in range(1, max_n + 1):
+        matched = 0
+        total = 0
+        for out_t, ref_t in zip(out_tokens, ref_tokens):
+            out_counts = _frozen_ngram_counter(out_t, n)
+            ref_counts = _frozen_ngram_counter(ref_t, n)
+            total += sum(out_counts.values())
+            matched += sum(min(c, ref_counts[g]) for g, c in out_counts.items())
+        if matched == 0 or total == 0:
+            return 0.0
+        log_precisions.append(math.log(matched / total))
+    brevity = 1.0 if out_len > ref_len else math.exp(1.0 - ref_len / out_len)
+    return 100.0 * brevity * math.exp(math.fsum(log_precisions) / max_n)
+
+
+def frozen_save_arpa(model, stream):
+    """ARPA text with each section's n-grams sorted as string tuples."""
+    ln10 = math.log(10.0)
+    by_order = {}
+    for gram in model.probs:
+        by_order.setdefault(len(gram), []).append(gram)
+    stream.write("\\data\\\n")
+    for k in range(1, model.order + 1):
+        stream.write(f"ngram {k}={len(by_order.get(k, []))}\n")
+    for k in range(1, model.order + 1):
+        stream.write(f"\n\\{k}-grams:\n")
+        for gram in sorted(by_order.get(k, [])):
+            log10_prob = model.probs[gram] / ln10
+            line = f"{log10_prob!r}\t{' '.join(gram)}"
+            backoff = model.backoffs.get(gram)
+            if backoff is not None:
+                line += f"\t{backoff / ln10!r}"
+            stream.write(line + "\n")
+    stream.write("\n\\end\\\n")

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from plainterm.evaluation import (
     EvalCounts,
@@ -21,7 +23,8 @@ from plainterm.evaluation import (
 )
 from plainterm.simplifier import SimplifierConfig, simplify
 
-from oracles import bleu_score, sari_score
+from oracles import bleu_score, frozen_bleu, frozen_sari_components, sari_score
+from test_loaders import FUZZ
 
 # published judgment tallies (S/F/E/N/U) for the three headline systems
 HUMAN = EvalCounts(1730, 273, 904, 40, 4053)
@@ -156,6 +159,27 @@ class TestSari:
             assert sari(src, out, refs) == pytest.approx(sari_score(src, out, refs), abs=1e-9)
 
 
+# few words, so n-grams repeat within a sentence and across the references
+SENTENCES = st.lists(st.sampled_from(["a", "b", "c", "d", "A", "."]), max_size=8).map(" ".join)
+
+
+@FUZZ
+@given(source=SENTENCES, output=SENTENCES, references=st.lists(SENTENCES, min_size=1, max_size=3))
+@example(source="", output="a b a .", references=["a b"])
+@example(source="a a b a b .", output="", references=["a b", "a a b ."])
+# both keep sums here change the last bit of keep if their terms are added in reverse
+@example(
+    source="a c b d d a b a d A",
+    output=". . d b c d a",
+    references=[". d . c d c b A . A", "c", "a A a d A A a c A"],
+)
+def test_sari_components_repr_equals_frozen_counter_algebra(source, output, references):
+    assume(source or output)
+    assert repr(sari_components(source, output, references)) == repr(
+        frozen_sari_components(source, output, references)
+    )
+
+
 class TestBleu:
     def test_identity_is_100(self):
         assert bleu(["a b c d e"], ["a b c d e"]) == pytest.approx(100.0)
@@ -195,6 +219,17 @@ class TestBleu:
             assert bleu(outputs, references) == pytest.approx(
                 bleu_score(outputs, references), abs=1e-9
             )
+
+
+def test_bleu_equals_frozen_slice_counting():
+    rng = random.Random(78)
+    vocab = ["a", "b", "c", "."]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        outputs = [" ".join(rng.choices(vocab, k=rng.randint(0, 9))) for _ in range(n)]
+        references = [" ".join(rng.choices(vocab, k=rng.randint(0, 9))) for _ in range(n)]
+        max_n = rng.randint(1, 4)
+        assert bleu(outputs, references, max_n) == frozen_bleu(outputs, references, max_n)
 
 
 class TestSignificance:

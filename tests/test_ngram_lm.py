@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 import sys
@@ -19,6 +20,9 @@ from plainterm.ngram_lm import (
     save_arpa,
     train,
 )
+
+from oracles import frozen_save_arpa
+from test_loaders import FUZZ
 
 LN10 = math.log(10.0)
 
@@ -252,6 +256,25 @@ def test_arpa_round_trip_on_random_models(corpus, order, discount, min_count):
     assert again.getvalue() == text
 
 
+# "a\x01" sorts after "a" but, joined into a line, before "a b"
+ARPA_WORDS = ["a", "a\x01", "\x01", "b", "<s>"]
+ARPA_GRAMS = [gram for k in (1, 2, 3) for gram in itertools.product(ARPA_WORDS, repeat=k)]
+
+
+@FUZZ
+@given(grams=st.lists(st.sampled_from(ARPA_GRAMS), max_size=12, unique=True), extra_orders=st.integers(0, 1))
+def test_save_arpa_bytes_equal_a_tuple_sorted_writer(grams, extra_orders):
+    # a higher-order word need not be a unigram, as in a loaded ARPA file
+    order = max(map(len, grams), default=1) + extra_orders
+    probs = {gram: -(i + 1) / 7 for i, gram in enumerate(grams)}
+    backoffs = {gram: -(i + 1) / 3 for i, gram in enumerate(grams) if i % 2}
+    model = NgramModel(order, probs, backoffs, frozenset(g[0] for g in grams if len(g) == 1))
+    buf, expected = io.StringIO(), io.StringIO()
+    save_arpa(model, buf)
+    frozen_save_arpa(model, expected)
+    assert buf.getvalue() == expected.getvalue()
+
+
 def right_folded_score(model, tokens):
     """Mean log-probability by a plain backoff walk, and the deepest backoff chain.
 
@@ -322,10 +345,6 @@ class TestLookupScorer:
     def test_exact_match(self):
         scorer = LookupScorer({"a b .": -2.0})
         assert scorer.score(["a", "b", "."]) == -2.0
-
-    def test_default_fallback(self):
-        scorer = LookupScorer({}, default=-50.0)
-        assert scorer.score(["anything"]) == -50.0
 
     def test_missing_without_default(self):
         with pytest.raises(ValueError, match="no stored score"):

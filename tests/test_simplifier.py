@@ -87,8 +87,8 @@ class TestRankSpan:
         chosen, _ = self.rank(alpha=0.0, freq=freq)
         assert chosen == ("large",)
 
-    def test_full_tie_keeps_smallest_term(self):
-        lm = LookupScorer({}, default=-3.0)
+    def test_full_tie_keeps_smallest_term(self, constant):
+        lm = constant(-3.0)
         freq = FrequencyTable({})
         chosen, _ = self.rank(alpha=0.5, lm=lm, freq=freq)
         assert chosen == ("big",)
@@ -114,54 +114,54 @@ class TestSimplifyOnce:
         assert reps == []
         assert [t.text for t in out] == ["a", "big", "dog", "."]
 
-    def test_multiple_spans_replaced_in_one_pass(self):
+    def test_multiple_spans_replaced_in_one_pass(self, constant):
         table = PhraseTable.from_groups([["pyrexia", "fever"], ["otalgia", "earache"]])
-        lm = LookupScorer({}, default=-1.0)
+        lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "earache": 0.5, "pyrexia": 1e-9, "otalgia": 1e-9})
         tokens = tokenize("pyrexia and otalgia .")
         out, reps = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Fever", "and", "earache", "."]
         assert len(reps) == 2
 
-    def test_sentence_initial_replacement_capitalized(self):
+    def test_sentence_initial_replacement_capitalized(self, constant):
         table = PhraseTable.from_groups([["pyrexia", "fever"]])
-        lm = LookupScorer({}, default=-1.0)
+        lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("Pyrexia was noted .")
         out, _ = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Fever", "was", "noted", "."]
 
-    def test_mid_sentence_replacement_stays_lowercase(self):
+    def test_mid_sentence_replacement_stays_lowercase(self, constant):
         table = PhraseTable.from_groups([["pyrexia", "fever"]])
-        lm = LookupScorer({}, default=-1.0)
+        lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("Noted Pyrexia today .")
         out, _ = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Noted", "fever", "today", "."]
 
-    def test_longer_replacement_shifts_following_tokens(self):
+    def test_longer_replacement_shifts_following_tokens(self, constant):
         table = PhraseTable.from_groups([["dyspnoea", "shortness of breath"]])
-        lm = LookupScorer({}, default=-1.0)
+        lm = constant(-1.0)
         freq = FrequencyTable({"shortness": 0.1, "of": 0.5, "breath": 0.1, "dyspnoea": 1e-9})
         tokens = tokenize("dyspnoea worse at night .")
         out, _ = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Shortness", "of", "breath", "worse", "at", "night", "."]
         assert [t.norm for t in out] == ["shortness", "of", "breath", "worse", "at", "night", "."]
 
-    def test_spliced_norm_is_taken_after_capitalization(self):
+    def test_spliced_norm_is_taken_after_capitalization(self, constant):
         # "ß".upper() is "SS", so the norm of a capitalized "ß..." is "ss...", as tokenize gives
         table = PhraseTable.from_groups([["pyrexia", "ßfever"]])
-        lm = LookupScorer({}, default=-1.0)
+        lm = constant(-1.0)
         freq = FrequencyTable({"ßfever": 0.5, "pyrexia": 1e-9})
         out, _ = simplify_once(tokenize("pyrexia ."), table, lm, freq, SimplifierConfig(alpha=0.0))
         assert out == tokenize("SSfever .")
 
 
 class TestSimplify:
-    def test_no_match_returns_original_verbatim(self):
+    def test_no_match_returns_original_verbatim(self, constant):
         table = PhraseTable.from_groups([["pyrexia", "fever"]])
         result = simplify(
-            "Nothing   to  change", table, LookupScorer({}, default=-1.0), FrequencyTable({}), SimplifierConfig()
+            "Nothing   to  change", table, constant(-1.0), FrequencyTable({}), SimplifierConfig()
         )
         assert result.final == "Nothing   to  change"
         assert result.iterations == 0
