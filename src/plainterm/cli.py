@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import statistics
 import sys
 from typing import IO, ContextManager, Sequence
@@ -155,17 +156,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             out_lines.append(f"BLEU\t{evaluation.bleu(outputs, references):.2f}")
         if want_sari:
             sources = _read_lines(args.sources)
-            if not (len(sources) == len(outputs) == len(references)):
-                raise ValueError(
-                    "sources, outputs and references must have the same number of lines"
-                )
-            if not outputs:
-                raise ValueError("no sentences to score")
-            scores = [
-                evaluation.sari(src, out, [ref])
-                for src, out, ref in zip(sources, outputs, references)
-            ]
-            out_lines.append(f"SARI\t{sum(scores) / len(scores):.2f}")
+            out_lines.append(f"SARI\t{evaluation.mean_sari(sources, outputs, references):.2f}")
     if want_sg:
         _evaluate_judgments(args, out_lines)
 
@@ -180,7 +171,8 @@ def _parse_grid(spec: str) -> list[float]:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0 or stop < start:
+            # NaN fails every comparison, and an infinite bound or step never stops the loop
+            if not (-math.inf < start <= stop < math.inf and 0 < step < math.inf):
                 raise ValueError
             points = []
             k = 0

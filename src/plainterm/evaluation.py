@@ -17,6 +17,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .ngram_lm import LmScorer, ScoreMemo
 from .ontology import PhraseTable
 from .simplifier import SimplifierConfig, simplify
+from .textproc import ngrams
 from .wordfreq import FrequencyTable
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "aggregate_judgments",
     "sari",
     "sari_components",
+    "mean_sari",
     "bleu",
     "sg_significance",
     "default_alpha_grid",
@@ -145,11 +147,6 @@ def aggregate_judgments(
     return result
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
-    """Count the n-grams of tokens, keyed by tuple, in order of first occurrence."""
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
-
-
 def _sari_ngram(
     src: Sequence[str],
     out: Sequence[str],
@@ -162,11 +159,11 @@ def _sari_ngram(
     # ratios in the order Counter & and - would list them, so each sum adds
     # the same floats in the same sequence.
     numref = len(refs)
-    s_counts = _ngram_counts(src, n)
-    c_counts = _ngram_counts(out, n)
+    s_counts = Counter(ngrams(src, n))
+    c_counts = Counter(ngrams(out, n))
     r_counts: Counter[tuple[str, ...]] = Counter()
     for ref in refs:
-        r_counts.update(_ngram_counts(ref, n))
+        r_counts.update(ngrams(ref, n))
 
     keep_p_terms: list[float] = []
     keep_r_terms: list[float] = []
@@ -228,6 +225,16 @@ def sari(source: str, output: str, references: Sequence[str]) -> float:
     return (keep + delete + add) / 3.0
 
 
+def mean_sari(sources: Sequence[str], outputs: Sequence[str], references: Sequence[str]) -> float:
+    """Mean sentence SARI over parallel lines, one reference per line, summed by math.fsum."""
+    if not (len(sources) == len(outputs) == len(references)):
+        raise ValueError("sources, outputs and references must have the same number of lines")
+    if not outputs:
+        raise ValueError("no sentences to score")
+    scores = [sari(source, output, [ref]) for source, output, ref in zip(sources, outputs, references)]
+    return math.fsum(scores) / len(scores)
+
+
 def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> float:
     """Corpus BLEU in [0, 100] with uniform weights and no smoothing.
 
@@ -251,8 +258,8 @@ def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> f
         matched = 0
         total = 0
         for out_t, ref_t in zip(out_tokens, ref_tokens):
-            out_counts = _ngram_counts(out_t, n)
-            ref_counts = _ngram_counts(ref_t, n)
+            out_counts = Counter(ngrams(out_t, n))
+            ref_counts = Counter(ngrams(ref_t, n))
             total += sum(out_counts.values())
             matched += sum(min(c, ref_counts[g]) for g, c in out_counts.items())
         if matched == 0 or total == 0:
@@ -323,15 +330,12 @@ def grid_search_alpha(
         raise ValueError("empty alpha grid")
     if not isinstance(lm, ScoreMemo):
         lm = ScoreMemo(lm)
+    sources, references = zip(*pairs)
     curve: list[tuple[float, float]] = []
     for alpha in points:
         config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
-        scores = [
-            sari(source, simplify(source, table, lm, freq, config).final, [reference])
-            for source, reference in pairs
-        ]
-        mean_sari = math.fsum(scores) / len(scores)
-        curve.append((alpha, mean_sari))
+        outputs = [simplify(source, table, lm, freq, config).final for source in sources]
+        curve.append((alpha, mean_sari(sources, outputs, references)))
     best_alpha, _ = max(curve, key=lambda point: (point[1], -point[0]))
     return best_alpha, curve
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from .textproc import open_text, rows
+from .textproc import ngrams, open_text, rows
 
 __all__ = [
     "START",
@@ -202,8 +202,9 @@ def train(
 
     Words seen fewer than min_count times are replaced by the unknown symbol
     before counting. Each sentence is padded with order-1 start symbols and one
-    end symbol; for every predicted position, counts are collected at all
-    orders so lower-order distributions come from the same events.
+    end symbol. Each order counts the k-grams that end on a predicted
+    position, so lower-order distributions come from the same events, and is
+    turned into probabilities before the next order is counted.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -212,65 +213,58 @@ def train(
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
 
-    sentences: list[list[str]] = []
+    sentences = [words for line in corpus if (words := line.split())]
     raw_counts: Counter[str] = Counter()
-    for line in corpus:
-        words = line.split()
-        if not words:
-            continue
-        sentences.append(words)
+    for words in sentences:
         raw_counts.update(words)
     if not sentences:
         raise ValueError("no training data")
 
     keep = {w for w, c in raw_counts.items() if c >= min_count}
     vocab = keep | {START, STOP, UNK}
-
-    counts: list[Counter[tuple[str, ...]]] = [Counter() for _ in range(order + 1)]
-    for words in sentences:
-        mapped = [w if w in keep else UNK for w in words]
-        padded = [START] * (order - 1) + mapped + [STOP]
-        for i in range(order - 1, len(padded)):
-            for k in range(1, order + 1):
-                counts[k][tuple(padded[i - k + 1 : i + 1])] += 1
-
-    ctx_totals: list[dict[tuple[str, ...], int]] = [defaultdict(int) for _ in range(order + 1)]
-    ctx_types: list[dict[tuple[str, ...], int]] = [defaultdict(int) for _ in range(order + 1)]
-    for k in range(1, order + 1):
-        for gram, count in counts[k].items():
-            ctx = gram[:-1]
-            ctx_totals[k][ctx] += count
-            ctx_types[k][ctx] += 1
+    for i, words in enumerate(sentences):
+        sentences[i] = [START] * (order - 1) + [w if w in keep else UNK for w in words] + [STOP]
 
     predicted = sorted(vocab - {START})
     uniform = 1.0 / len(predicted)
 
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
-
-    total = ctx_totals[1][()]
-    lam = discount * ctx_types[1][()] / total
-    for word in predicted:
-        count = counts[1].get((word,), 0)
-        prob = max(count - discount, 0.0) / total + lam * uniform
-        probs[(word,)] = math.log(prob)
-    probs[(START,)] = _PLACEHOLDER_LOG10 * _LN10
-
-    for k in range(2, order + 1):
-        for gram, count in counts[k].items():
+    for k in range(1, order + 1):
+        # the k-grams of padded[order - k:] are those ending on a predicted position
+        counts: Counter[tuple[str, ...]] = Counter()
+        for padded in sentences:
+            counts.update(ngrams(padded[order - k :], k))
+        totals: dict[tuple[str, ...], int] = defaultdict(int)
+        types: dict[tuple[str, ...], int] = defaultdict(int)
+        for gram, count in counts.items():
             ctx = gram[:-1]
-            ctx_total = ctx_totals[k][ctx]
-            lam = discount * ctx_types[k][ctx] / ctx_total
-            lower = math.exp(probs[gram[1:]])
-            prob = max(count - discount, 0.0) / ctx_total + lam * lower
-            probs[gram] = math.log(prob)
-        for ctx, ctx_total in ctx_totals[k].items():
-            lam = discount * ctx_types[k][ctx] / ctx_total
-            backoffs[ctx] = math.log(lam)
-            if ctx not in probs:
-                # pure start-padding contexts are never predicted themselves,
-                # but still need an entry to carry their backoff weight
-                probs[ctx] = _PLACEHOLDER_LOG10 * _LN10
+            totals[ctx] += count
+            types[ctx] += 1
+
+        if k == 1:
+            total = totals[()]
+            lam = discount * types[()] / total
+            for word in predicted:
+                count = counts.get((word,), 0)
+                prob = max(count - discount, 0.0) / total + lam * uniform
+                probs[(word,)] = math.log(prob)
+            probs[(START,)] = _PLACEHOLDER_LOG10 * _LN10
+        else:
+            for gram, count in counts.items():
+                ctx = gram[:-1]
+                total = totals[ctx]
+                lam = discount * types[ctx] / total
+                lower = math.exp(probs[gram[1:]])
+                prob = max(count - discount, 0.0) / total + lam * lower
+                probs[gram] = math.log(prob)
+            for ctx, total in totals.items():
+                lam = discount * types[ctx] / total
+                backoffs[ctx] = math.log(lam)
+                if ctx not in probs:
+                    # pure start-padding contexts are never predicted themselves,
+                    # but still need an entry to carry their backoff weight
+                    probs[ctx] = _PLACEHOLDER_LOG10 * _LN10
 
     return NgramModel(order, probs, backoffs, frozenset(vocab))
 

@@ -16,6 +16,7 @@ __all__ = [
     "tokenize",
     "detokenize",
     "extract_spans",
+    "ngrams",
     "rows",
     "open_text",
 ]
@@ -100,6 +101,11 @@ def extract_spans(tokens: Sequence[Token], table: "PhraseTable") -> list[Span]:
             spans.append(hit)
             pos = hit.end
     return spans
+
+
+def ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    """The n-grams of tokens as tuples, in order of position."""
+    return zip(*[tokens[i:] for i in range(n)])
 
 
 def rows(stream: IO[str] | Iterable[str], ncols: int) -> Iterator[tuple[int, list[str]]]:

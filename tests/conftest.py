@@ -3,12 +3,18 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 from plainterm.ngram_lm import LookupScorer
 from plainterm.ontology import PhraseTable, read_table
 from plainterm.wordfreq import FrequencyTable, load_table
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# every property test runs the same reproducible examples, with no example
+# database; a test that needs more sets only its own max_examples
+settings.register_profile("plainterm", max_examples=150, deadline=None, database=None, derandomize=True)
+settings.load_profile("plainterm")
 
 
 class CountingScorer:

@@ -10,7 +10,7 @@ exact references for faster rewrites.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 
 def naive_plural(word):
@@ -153,7 +153,7 @@ def bleu_score(outputs, references):
 
 # Frozen copies: a faster rewrite must give the same floats (the same repr)
 # and the same bytes as these, so they keep the old code paths, Counter
-# algebra and tuple sorts included.
+# algebra, tuple sorts and per-position n-gram slices included.
 
 
 def _frozen_ngram_counter(tokens, n):
@@ -248,3 +248,69 @@ def frozen_save_arpa(model, stream):
                 line += f"\t{backoff / ln10!r}"
             stream.write(line + "\n")
     stream.write("\n\\end\\\n")
+
+
+def frozen_train(corpus, order=3, discount=0.75, min_count=2):
+    """The (order, probs, backoffs, vocab) of a trained model, counting every
+    order at each predicted position by tuple slices, all orders at once."""
+    start, stop, unk = "<s>", "</s>", "<unk>"
+    placeholder = -99.0 * math.log(10.0)
+    sentences = []
+    raw_counts = Counter()
+    for line in corpus:
+        words = line.split()
+        if not words:
+            continue
+        sentences.append(words)
+        raw_counts.update(words)
+    if not sentences:
+        raise ValueError("no training data")
+
+    keep = {w for w, c in raw_counts.items() if c >= min_count}
+    vocab = keep | {start, stop, unk}
+
+    counts = [Counter() for _ in range(order + 1)]
+    for words in sentences:
+        mapped = [w if w in keep else unk for w in words]
+        padded = [start] * (order - 1) + mapped + [stop]
+        for i in range(order - 1, len(padded)):
+            for k in range(1, order + 1):
+                counts[k][tuple(padded[i - k + 1 : i + 1])] += 1
+
+    ctx_totals = [defaultdict(int) for _ in range(order + 1)]
+    ctx_types = [defaultdict(int) for _ in range(order + 1)]
+    for k in range(1, order + 1):
+        for gram, count in counts[k].items():
+            ctx = gram[:-1]
+            ctx_totals[k][ctx] += count
+            ctx_types[k][ctx] += 1
+
+    predicted = sorted(vocab - {start})
+    uniform = 1.0 / len(predicted)
+
+    probs = {}
+    backoffs = {}
+
+    total = ctx_totals[1][()]
+    lam = discount * ctx_types[1][()] / total
+    for word in predicted:
+        count = counts[1].get((word,), 0)
+        prob = max(count - discount, 0.0) / total + lam * uniform
+        probs[(word,)] = math.log(prob)
+    probs[(start,)] = placeholder
+
+    for k in range(2, order + 1):
+        for gram, count in counts[k].items():
+            ctx = gram[:-1]
+            ctx_total = ctx_totals[k][ctx]
+            lam = discount * ctx_types[k][ctx] / ctx_total
+            lower = math.exp(probs[gram[1:]])
+            prob = max(count - discount, 0.0) / ctx_total + lam * lower
+            probs[gram] = math.log(prob)
+        for ctx, ctx_total in ctx_totals[k].items():
+            lam = discount * ctx_types[k][ctx] / ctx_total
+            backoffs[ctx] = math.log(lam)
+            if ctx not in probs:
+                probs[ctx] = placeholder
+
+    return order, probs, backoffs, frozenset(vocab)

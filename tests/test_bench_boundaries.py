@@ -56,7 +56,7 @@ def test_traced_run_observes_every_expected_boundary(bench, tune, workload):
     assert unobserved == []
 
 
-@pytest.mark.parametrize("workload", ["simplify-dense", "simplify-long", "tune-grid"])
+@pytest.mark.parametrize("workload", ["simplify-dense", "simplify-long", "tune-grid", "build-models"])
 def test_tiny_run_matches_recorded_digests(bench, tmp_path, workload):
     _, worker = bench
     inputs = worker.prepare(workload, str(tmp_path), 5, "tiny")

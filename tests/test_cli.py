@@ -286,7 +286,7 @@ class TestTune:
         assert "best alpha: 0.80" in captured.err
 
     def test_bad_grid_is_usage_error(self, data_dir, capsys):
-        for spec in ("zero:one:half", "", ","):
+        for spec in ("zero:one:half", "", ",", "0:1:nan", "nan:1:0.1", "0:inf:0.1", "0:nan:0.1"):
             assert run(self.tune_args(data_dir, ["--grid", spec])) == 2
             assert f"bad grid spec {spec!r}" in capsys.readouterr().err
 

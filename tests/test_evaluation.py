@@ -24,7 +24,6 @@ from plainterm.evaluation import (
 from plainterm.simplifier import SimplifierConfig, simplify
 
 from oracles import bleu_score, frozen_bleu, frozen_sari_components, sari_score
-from test_loaders import FUZZ
 
 # published judgment tallies (S/F/E/N/U) for the three headline systems
 HUMAN = EvalCounts(1730, 273, 904, 40, 4053)
@@ -163,7 +162,6 @@ class TestSari:
 SENTENCES = st.lists(st.sampled_from(["a", "b", "c", "d", "A", "."]), max_size=8).map(" ".join)
 
 
-@FUZZ
 @given(source=SENTENCES, output=SENTENCES, references=st.lists(SENTENCES, min_size=1, max_size=3))
 @example(source="", output="a b a .", references=["a b"])
 @example(source="a a b a b .", output="", references=["a b", "a a b ."])

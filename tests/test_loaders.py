@@ -7,7 +7,7 @@ import pathlib
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from plainterm.cli import main
@@ -86,7 +86,6 @@ FRAGMENTS = [
 ]
 NOISE = st.text(alphabet="ab .,#\t\"'-01ePA\\=:\r\x00\x1c ", max_size=16)
 DOCUMENTS = st.lists(st.one_of(st.sampled_from(FRAGMENTS), NOISE), max_size=10)
-FUZZ = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
 LOADERS = [
     parse_records, read_table, load_table, LookupScorer.load, load_arpa, load_judgments, load_unchanged,
@@ -94,7 +93,6 @@ LOADERS = [
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__qualname__)
-@FUZZ
 @given(lines=DOCUMENTS)
 def test_loader_fails_only_with_a_line_numbered_value_error(loader, lines):
     try:

@@ -209,7 +209,7 @@ class TestPhraseTable:
 LABEL_CHARS = "abzAZ09 _-.,'()/\u00e9\u00c9\u00df\u03a3\u03c3\u03c2\u0130\u0131\u01c5\u00b2\u0301\u00a0\u2003\x0b\x1c\t"
 
 
-@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@settings(max_examples=500)
 @given(text=st.one_of(st.text(alphabet=LABEL_CHARS, max_size=20), st.text(max_size=20)))
 def test_table_label_fast_path_equals_normalize_label(text):
     assert normalize_label(text) == tuple(t.norm for t in tokenize(text))

@@ -4,7 +4,7 @@ import zlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import plainterm.simplifier
@@ -373,7 +373,6 @@ LABELS = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
 FREQ = FrequencyTable({"a": 0.3, "b": 0.01, "c": 0.2, "ß": 0.05})
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(
     labels=st.lists(LABELS, min_size=2, max_size=8, unique_by=normalize_label),
     words=st.lists(st.sampled_from(WORDS + ["x", "A"]), max_size=10),

@@ -118,7 +118,7 @@ LABELS = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
 SENTENCES = st.lists(st.sampled_from(WORDS + ["x", "X."]), max_size=14).map(" ".join)
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(labels=st.lists(LABELS, min_size=2, max_size=12, unique_by=normalize_label), sentence=SENTENCES)
 def test_extract_spans_equals_oracle_on_random_tables(labels, sentence):
     # labels pair up into groups in order; an odd last label joins the final group
@@ -135,7 +135,6 @@ def test_extract_spans_equals_oracle_on_random_tables(labels, sentence):
 TEXT_CHARS = "aZß .,-(\"\t\n\u00a0\u2003\u3000"
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(s=st.one_of(st.text(alphabet=TEXT_CHARS, max_size=30), st.text(max_size=30)))
 def test_tokens_cover_the_text_and_survive_a_round_trip(s):
     tokens = tokenize(s)
