@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import json
 import logging
-import math
 import statistics
 import sys
 from typing import IO, ContextManager, Sequence
@@ -169,32 +168,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _parse_grid(spec: str) -> list[float]:
     try:
         if ":" in spec:
-            start_s, stop_s, step_s = spec.split(":")
-            start, stop, step = float(start_s), float(stop_s), float(step_s)
-            # NaN fails every comparison, and an infinite bound or step never stops the loop
-            if not (-math.inf < start <= stop < math.inf and 0 < step < math.inf):
-                raise ValueError
-            points = []
-            k = 0
-            while True:
-                val = round(start + k * step, 10)
-                if val > stop + 1e-12:
-                    break
-                points.append(val)
-                k += 1
-            return points
+            start, stop, step = map(float, spec.split(":"))
+            return evaluation.alpha_range(start, stop, step)
         points = [float(tok) for tok in spec.split(",") if tok.strip()]
         if not points:
             raise ValueError
         return points
     except ValueError:
-        raise UsageError(f"bad grid spec {spec!r}: use start:stop:step or a comma list") from None
+        raise UsageError(
+            f"bad grid spec {spec!r}: use start:stop:step in [0, 1] with step >= 0.01, or a comma list"
+        ) from None
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else None
-    for alpha in grid or evaluation.default_alpha_grid():
+    # with no --grid, checking the default alpha still checks --max-iterations
+    for alpha in grid or [simplifier.SimplifierConfig.alpha]:
         _config(alpha, args.max_iterations)
+        # the curve prints alpha to 2 decimals, so a finer point would print as its neighbour
+        if round(alpha, 2) != alpha:
+            raise UsageError(f"grid point {alpha!r} has more than 2 decimals")
     with open_text(args.dev) as fh:
         pairs = [(source, reference) for _, (source, reference) in rows(fh, 2)]
     table, lm, freq = _load_models(args)
@@ -217,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and evaluate the results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run_defaults = simplifier.SimplifierConfig()
 
     p = sub.add_parser(
         "build-table",
@@ -257,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, help="phrase table from build-table")
     p.add_argument("--lm", required=True, help="ARPA model or sentence-score table")
     p.add_argument("--freq", required=True, help="word<TAB>probability table")
-    p.add_argument("--alpha", type=float, default=0.7, help="fluency weight in [0, 1]")
-    p.add_argument("--max-iterations", type=int, default=5)
+    p.add_argument("--alpha", type=float, default=run_defaults.alpha, help="fluency weight in [0, 1]")
+    p.add_argument("--max-iterations", type=int, default=run_defaults.max_iterations)
     p.add_argument("--output", "-o", help="result TSV (default stdout)")
     p.add_argument("--trace", help="write a JSON trace of every ranking decision")
     p.set_defaults(func=cmd_simplify)
@@ -298,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--freq", required=True)
     p.add_argument("--grid", help="start:stop:step or comma-separated alphas (default built-in grid)")
-    p.add_argument("--max-iterations", type=int, default=5)
+    p.add_argument("--max-iterations", type=int, default=run_defaults.max_iterations)
     p.add_argument("--output", "-o", help="curve TSV (default stdout)")
     p.set_defaults(func=cmd_tune)
 

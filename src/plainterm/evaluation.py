@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import IO, Iterable, Iterator, Sequence
 
 from .ngram_lm import LmScorer, ScoreMemo
@@ -33,6 +33,7 @@ __all__ = [
     "mean_sari",
     "bleu",
     "sg_significance",
+    "alpha_range",
     "default_alpha_grid",
     "grid_search_alpha",
     "format_report",
@@ -43,7 +44,7 @@ CATEGORIES = ("S", "F", "E", "N")
 
 @dataclass(frozen=True)
 class EvalCounts:
-    """Judgment tallies for one system."""
+    """Judgment tallies for one system; the field order is the report's column order."""
 
     s: int = 0
     f: int = 0
@@ -52,13 +53,13 @@ class EvalCounts:
     u: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("s", "f", "e", "n", "u"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative count for {name}")
+        for field in fields(self):
+            if getattr(self, field.name) < 0:
+                raise ValueError(f"negative count for {field.name}")
 
     @property
     def total(self) -> int:
-        return self.s + self.f + self.e + self.n + self.u
+        return sum(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -134,17 +135,11 @@ def aggregate_judgments(
                 f"record {idx} (sentence {rec.sentence_id!r}, system {rec.system_id!r}): "
                 f"unknown category {rec.category!r}"
             )
-        tallies[rec.system_id][rec.category] += 1
-    unchanged_counts: Counter[str] = Counter()
+        tallies[rec.system_id][rec.category.lower()] += 1
     for _, system_id in unchanged:
-        unchanged_counts[system_id] += replications
-    result: dict[str, EvalCounts] = {}
-    for system_id in sorted(set(tallies) | set(unchanged_counts)):
-        t = tallies.get(system_id, Counter())
-        result[system_id] = EvalCounts(
-            s=t["S"], f=t["F"], e=t["E"], n=t["N"], u=unchanged_counts.get(system_id, 0)
-        )
-    return result
+        tallies[system_id]["u"] += replications
+    # each tally is keyed by EvalCounts field name; a category no judgment used stays 0
+    return {system_id: EvalCounts(**tallies[system_id]) for system_id in sorted(tallies)}
 
 
 def _sari_ngram(
@@ -290,10 +285,11 @@ def sg_significance(
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    ps_a = np.array([a.s, a.f, a.e, a.n, a.u], dtype=float) / a.total
-    ps_b = np.array([b.s, b.f, b.e, b.n, b.u], dtype=float) / b.total
+    ps_a = np.array(astuple(a), dtype=float) / a.total
+    ps_b = np.array(astuple(b), dtype=float) / b.total
     draws_a = rng.multinomial(a.total, ps_a, size=iterations)
     draws_b = rng.multinomial(b.total, ps_b, size=iterations)
+    # columns 0 and 1 are the S and F draws
     sg_a = (draws_a[:, 0] - draws_a[:, 1]) / a.total
     sg_b = (draws_b[:, 0] - draws_b[:, 1]) / b.total
     diff = sg_a - sg_b
@@ -301,11 +297,25 @@ def sg_significance(
     return min(1.0, 2.0 * (tail + 1) / (iterations + 1))
 
 
+def alpha_range(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop, each rounded to 10 decimals: at most 101 alphas.
+
+    Unless 0 <= start <= stop <= 1 and step >= 0.01, raises ValueError before making any point.
+    """
+    # NaN fails every comparison, and an infinite step would make a NaN point
+    if not (0.0 <= start <= stop <= 1.0 and 0.01 <= step < math.inf):
+        raise ValueError(f"bad alpha range {start}:{stop}:{step}: need 0 <= start <= stop <= 1, step >= 0.01")
+    points = []
+    k = 0
+    while (point := round(start + k * step, 10)) <= stop + 1e-12:
+        points.append(point)
+        k += 1
+    return points
+
+
 def default_alpha_grid() -> list[float]:
     """0 to 1 in steps of 0.05, refined to steps of 0.01 above 0.90."""
-    coarse = {round(0.05 * i, 2) for i in range(21)}
-    fine = {round(0.90 + 0.01 * i, 2) for i in range(11)}
-    return sorted(coarse | fine)
+    return sorted({*alpha_range(0.0, 1.0, 0.05), *alpha_range(0.9, 1.0, 0.01)})
 
 
 def grid_search_alpha(
@@ -314,7 +324,7 @@ def grid_search_alpha(
     lm: LmScorer | ScoreMemo,
     freq: FrequencyTable,
     grid: Sequence[float] | None = None,
-    max_iterations: int = 5,
+    max_iterations: int = SimplifierConfig.max_iterations,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick the alpha maximizing mean SARI over (source, reference) dev pairs.
 
@@ -342,11 +352,10 @@ def grid_search_alpha(
 
 def format_report(counts_by_system: dict[str, EvalCounts], fmt: str = "table") -> str:
     """Render per-system counts and simplification gain as TSV or aligned text."""
-    rows = [["system", "S", "F", "E", "N", "U", "SG"]]
+    rows = [["system", *(field.name.upper() for field in fields(EvalCounts)), "SG"]]
     for system_id in sorted(counts_by_system):
         c = counts_by_system[system_id]
-        gain = simplification_gain(c)
-        rows.append([system_id, str(c.s), str(c.f), str(c.e), str(c.n), str(c.u), f"{gain:.2f}"])
+        rows.append([system_id, *map(str, astuple(c)), f"{simplification_gain(c):.2f}"])
     if fmt == "tsv":
         lines = ["\t".join(row) for row in rows]
     elif fmt == "table":

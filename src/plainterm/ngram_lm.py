@@ -178,7 +178,7 @@ class LookupScorer:
 
     @classmethod
     def load(cls, stream: IO[str] | Iterable[str]) -> "LookupScorer":
-        """Load sentence<TAB>score rows; scores must be finite numbers."""
+        """Load sentence<TAB>score rows; scores must be finite and sentences unique."""
         scores: dict[str, float] = {}
         for line_no, (sentence, text) in rows(stream, 2):
             try:
@@ -188,7 +188,8 @@ class LookupScorer:
             # NaN compares false both ways, so it would win a ranking by default
             if not math.isfinite(score):
                 raise ValueError(f"line {line_no}: score must be finite, got {text!r}")
-            scores[sentence] = score
+            if scores.setdefault(sentence, score) is not score:
+                raise ValueError(f"line {line_no}: duplicate sentence {sentence!r}")
         return cls(scores)
 
 

@@ -66,16 +66,11 @@ class PhraseTable:
         self._max_label_len = max(map(len, self.index), default=0)
 
     @classmethod
-    def from_groups(cls, label_groups: Iterable[Iterable[str | Label]]) -> "PhraseTable":
-        """Build a table directly from label sets, mainly for tests and tools."""
+    def from_groups(cls, label_groups: Iterable[Iterable[str]]) -> "PhraseTable":
+        """Build a table from sets of label strings, normalized as read_table does."""
         groups = []
         for gid, raw_labels in enumerate(label_groups):
-            labels = sorted(
-                {
-                    normalize_label(lab) if isinstance(lab, str) else tuple(lab)
-                    for lab in raw_labels
-                }
-            )
+            labels = sorted({normalize_label(lab) for lab in raw_labels})
             if len(labels) < 2:
                 raise ValueError(f"group {gid} needs at least 2 distinct labels")
             groups.append(AlternativeGroup(gid, tuple(labels)))
@@ -181,15 +176,11 @@ def align(records: Iterable[ConceptRecord], expand_plurals: bool = True) -> Phra
         labels_by_concept[rec.concept_id].update(variants)
 
     uf = _UnionFind()
-    concepts_by_label: dict[Label, list[str]] = defaultdict(list)
+    first_concept: dict[Label, str] = {}
     for concept_id, labels in labels_by_concept.items():
         uf.add(concept_id)
         for label in labels:
-            concepts_by_label[label].append(concept_id)
-    for members in concepts_by_label.values():
-        first = members[0]
-        for other in members[1:]:
-            uf.union(first, other)
+            uf.union(first_concept.setdefault(label, concept_id), concept_id)
 
     clusters: dict[str, list[str]] = defaultdict(list)
     for concept_id in labels_by_concept:

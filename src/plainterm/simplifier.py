@@ -71,7 +71,10 @@ class SimplificationResult:
     final: str
     iterations: int
     trace: list[tuple[Replacement, ...]]
-    changed: bool
+
+    @property
+    def changed(self) -> bool:
+        return self.final != self.original
 
     def to_dict(self) -> dict:
         """JSON-friendly view of the run, used by the command-line trace output."""
@@ -206,4 +209,4 @@ def simplify(
                 break
             seen.add(key)
     final = detokenize(tokens) if iterations else sentence
-    return SimplificationResult(sentence, final, iterations, trace, final != sentence)
+    return SimplificationResult(sentence, final, iterations, trace)

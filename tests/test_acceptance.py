@@ -103,7 +103,7 @@ def test_span_extraction_matches_brute_force_oracle():
                     labels.add(lab)
                     seen.add(lab)
             if len(labels) >= 2:
-                groups.append(sorted(labels))
+                groups.append(sorted(" ".join(lab) for lab in labels))
         if not groups:
             continue
         table = PhraseTable.from_groups(groups)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import plainterm
-from plainterm.cli import main
+from plainterm.cli import _parse_grid, main
 from plainterm.ngram_lm import load_arpa
 from plainterm.wordfreq import build_table
 
@@ -285,10 +285,34 @@ class TestTune:
         captured = capsys.readouterr()
         assert "best alpha: 0.80" in captured.err
 
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            ("0:1:0.5", "[0.0, 0.5, 1.0]"),
+            (
+                "0:1:0.05",
+                "[0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, "
+                "0.75, 0.8, 0.85, 0.9, 0.95, 1.0]",
+            ),
+            ("0.9:1:0.01", "[0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99, 1.0]"),
+        ],
+    )
+    def test_range_grid_is_pinned(self, spec, want):
+        assert repr(_parse_grid(spec)) == want
+
     def test_bad_grid_is_usage_error(self, data_dir, capsys):
-        for spec in ("zero:one:half", "", ",", "0:1:nan", "nan:1:0.1", "0:inf:0.1", "0:nan:0.1"):
+        specs = ("zero:one:half", "", ",", "0:1:nan", "nan:1:0.1", "0:inf:0.1", "0:nan:0.1")
+        # a range must lie in [0, 1] with a step of at least 0.01, so no spec can make points without end
+        specs += ("0:1:1e-300", "0:1e300:1", "0:1:-0.1", "0:1.5:0.1", "0:1:0.005", "0:1:inf", "1:0:0.1")
+        for spec in specs:
             assert run(self.tune_args(data_dir, ["--grid", spec])) == 2
             assert f"bad grid spec {spec!r}" in capsys.readouterr().err
+
+    def test_grid_point_finer_than_printed_is_usage_error(self, data_dir, tmp_path, capsys):
+        args = self.tune_args(data_dir, ["--grid", "0.5,0.504,0.925"])
+        args[args.index("--lm") + 1] = str(tmp_path / "missing.tsv")
+        assert run(args) == 2
+        assert capsys.readouterr().err == "usage error: grid point 0.504 has more than 2 decimals\n"
 
     @pytest.mark.parametrize("spec, bad", [("0.5,1.5", "1.5"), ("0.5,nan", "nan")])
     def test_out_of_range_alpha_is_usage_error_before_any_load(self, data_dir, tmp_path, capsys, spec, bad):

@@ -10,6 +10,7 @@ from plainterm.evaluation import (
     EvalCounts,
     JudgmentRecord,
     aggregate_judgments,
+    alpha_range,
     bleu,
     default_alpha_grid,
     format_report,
@@ -239,6 +240,12 @@ class TestSignificance:
         p = sg_significance(NGRAM, NGRAM, iterations=10000, seed=42)
         assert p > 0.9
 
+    def test_exact_p_values_are_pinned(self):
+        # the second p-value is off the add-one floor, so it also pins the S, F, E,
+        # N, U order in which each system's multinomial is drawn
+        assert sg_significance(HUMAN, NGRAM, iterations=10000, seed=42) == 0.00019998000199980003
+        assert sg_significance(NGRAM, GPT1, iterations=10000, seed=42) == 0.0037996200379962005
+
     def test_p_value_never_zero(self):
         p = sg_significance(HUMAN, NGRAM, iterations=10000, seed=42)
         assert p >= 2 / 10001
@@ -268,6 +275,17 @@ class TestAlphaGrid:
         # refined points above 0.9 only
         assert 0.93 in grid
         assert 0.43 not in grid
+
+    @pytest.mark.parametrize("start, stop, step", [(-0.1, 1, 0.1), (0, 1.1, 0.1), (0, 1, 0.001), (0.5, 0.4, 0.1)])
+    def test_range_is_bounded_before_any_point_is_made(self, start, stop, step):
+        with pytest.raises(ValueError, match="bad alpha range"):
+            alpha_range(start, stop, step)
+
+    def test_default_grid_is_pinned(self):
+        assert repr(default_alpha_grid()) == (
+            "[0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, "
+            "0.75, 0.8, 0.85, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99, 1.0]"
+        )
 
 
 class TestGridSearch:

@@ -379,6 +379,10 @@ class TestLookupScorer:
         with pytest.raises(ValueError, match="line 1: bad score"):
             LookupScorer.load(io.StringIO("a\tnope\n"))
 
+    def test_load_rejects_duplicate_sentence(self):
+        with pytest.raises(ValueError, match="line 3: duplicate sentence 'a b'"):
+            LookupScorer.load(io.StringIO("a b\t-1.0\nc\t-2.0\na b\t-9.0\n"))
+
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
     def test_load_rejects_non_finite_score(self, text):
         with pytest.raises(ValueError, match=f"line 2: score must be finite, got '{text}'"):

@@ -142,6 +142,10 @@ class TestAlign:
             got = {frozenset(g.labels) for g in groups}
             want = component_label_sets(pairs, expand_plurals=True)
             assert got == want
+            # group ids are dense and follow each group's smallest concept id
+            smallest = [min(cid for cid, text in pairs if tuple(text.split()) in g.labels) for g in groups]
+            assert [g.group_id for g in groups] == list(range(len(groups)))
+            assert smallest == sorted(smallest)
 
 
 class TestPhraseTable:

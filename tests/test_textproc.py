@@ -104,7 +104,7 @@ class TestExtractSpans:
                     if lab not in seen:
                         labels.add(lab)
                         seen.add(lab)
-                group_labels.append(sorted(labels))
+                group_labels.append(sorted(" ".join(lab) for lab in labels))
             table = PhraseTable.from_groups(group_labels)
             toks = tokenize(" ".join(rng.choices(vocab, k=rng.randint(0, 12))))
             got = [(s.start, s.end) for s in extract_spans(toks, table)]
