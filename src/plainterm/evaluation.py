@@ -329,8 +329,12 @@ def grid_search_alpha(
     """Pick the alpha maximizing mean SARI over (source, reference) dev pairs.
 
     Returns the best alpha (smallest on ties) and the full (alpha, sari) curve,
-    one entry per grid point. Language-model scores do not depend on alpha,
-    so each distinct sentence is scored once for the whole grid.
+    one entry per grid point. One ScoreMemo serves the whole grid: tokens,
+    spans, language-model scores and wf scores do not depend on alpha, so
+    each sentence is tokenized, each pass input matched, each distinct
+    sentence scored and each span's candidates scored once for the whole
+    grid; each grid point recomputes only the combined scores and their
+    argmax.
     """
     pairs = list(dev_pairs)
     if not pairs:

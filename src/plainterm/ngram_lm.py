@@ -44,8 +44,8 @@ class LmScorer(Protocol):
     """Anything that maps a token sequence to a mean log-probability.
 
     A scorer must be pure: the same tokens always get the same score.
-    simplify and grid_search_alpha score each distinct sentence once per
-    call and reuse that score.
+    simplify scores each distinct sentence once per call, and
+    grid_search_alpha once for its whole grid, and they reuse that score.
     """
 
     def score(self, tokens: Sequence[str]) -> float:
@@ -53,19 +53,48 @@ class LmScorer(Protocol):
 
 
 class ScoreMemo:
-    """Scores spliced sentences, asking an inner scorer once per distinct sentence.
+    """Keeps what simplification computes that does not depend on alpha.
 
-    It keeps every score it has seen, so make one per call that scores many
-    overlapping sentences and let it go when that call returns. Around an
-    NgramModel it also keeps the per-position log-probabilities of each
-    sentence it splices into, so a splice rescores only the positions it
-    changed.
+    It asks its inner scorer once per distinct sentence and keeps every
+    score. Around an NgramModel it also keeps the per-position
+    log-probabilities of each sentence it splices into, so a splice rescores
+    only the positions it changed. For the simplifier it keeps the tokens of
+    each input sentence (simplify), the spans of each distinct pass input,
+    keyed by its norms (simplify_once), and each span's scored candidates,
+    keyed by pass input and span (rank_span). Only the combined score and its
+    argmax depend on alpha, so grid_search_alpha shares one memo across its
+    whole grid.
+
+    Spans and wf scores hold for one phrase table and one frequency table:
+    the memo serves the first of each it is given, and any other raises
+    ValueError. It keeps everything it has seen, so make one per call that
+    simplifies many overlapping sentences and let it go when that call
+    returns.
     """
 
     def __init__(self, lm: LmScorer) -> None:
         self.lm = lm
         self.scores: dict[tuple[str, ...], float] = {}
         self.bases: dict[tuple[str, ...], list[float]] = {}
+        self.table: object | None = None
+        self.freq: object | None = None
+        self.tokens: dict[str, list] = {}
+        self.spans: dict[tuple[str, ...], list] = {}
+        # (norms, start, end) -> (group, candidates)
+        self.ranked: dict[tuple[tuple[str, ...], int, int], tuple[object, tuple]] = {}
+
+    def serve(self, table: object | None, freq: object) -> None:
+        """Tie the memo to one phrase table and one frequency table.
+
+        The first of each it is given is kept, and any other raises
+        ValueError. rank_span sees no table and passes None.
+        """
+        if self.freq is None:
+            self.freq = freq
+        if self.table is None:
+            self.table = table
+        if freq is not self.freq or (table is not None and table is not self.table):
+            raise ValueError("a ScoreMemo serves one phrase table and one frequency table")
 
     def score_splice(
         self, norms: tuple[str, ...], start: int, end: int, label: Sequence[str]

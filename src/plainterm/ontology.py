@@ -67,10 +67,12 @@ class PhraseTable:
 
     @classmethod
     def from_groups(cls, label_groups: Iterable[Iterable[str]]) -> "PhraseTable":
-        """Build a table from sets of label strings, normalized as read_table does."""
+        """Build a table from sets of label strings, normalized and checked as read_table does."""
         groups = []
         for gid, raw_labels in enumerate(label_groups):
             labels = sorted({normalize_label(lab) for lab in raw_labels})
+            if () in labels:
+                raise ValueError(f"group {gid}: empty label")
             if len(labels) < 2:
                 raise ValueError(f"group {gid} needs at least 2 distinct labels")
             groups.append(AlternativeGroup(gid, tuple(labels)))

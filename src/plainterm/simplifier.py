@@ -121,23 +121,41 @@ def rank_span(
 ) -> tuple[Label, list[Candidate]]:
     """Score every alternative for one span and pick the best term.
 
-    norms are the lowercased tokens of the pass input, as a tuple. The
-    language model scores the full sentence with the alternative spliced in,
-    through ScoreMemo.score_splice (a bare scorer is wrapped in a ScoreMemo
-    for this call); the frequency score sees the bare term. Combined score
-    is alpha * lm + (1 - alpha) * wf.
+    norms are the lowercased tokens of the pass input (a list is taken as
+    its tuple). The language model scores the full sentence with the
+    alternative spliced in, through ScoreMemo.score_splice (a bare scorer is
+    wrapped in a ScoreMemo for this call); the frequency score sees the bare
+    term. Combined score is alpha * lm + (1 - alpha) * wf.
+    The memo keeps each span's candidates, keyed by the pass input and the
+    span, so a later call for the same span at another alpha recomputes only
+    the combined scores. It raises ValueError for a frequency table other
+    than the one it serves, or a group other than the one it ranked.
     Ties go to the higher lm score, then to the lexicographically smallest
     term. The matched text is itself a group label, so keeping it is one of
     the candidates and a span is only rewritten when an alternative beats it.
     """
     if not isinstance(lm, ScoreMemo):
         lm = ScoreMemo(lm)
-    candidates: list[Candidate] = []
-    for label in group.labels:
-        sent, lm_score = lm.score_splice(norms, span.start, span.end, label)
-        wf_score = wf(label, freq)
-        combined = alpha * lm_score + (1.0 - alpha) * wf_score
-        candidates.append(Candidate(label, sent, lm_score, wf_score, combined))
+    lm.serve(None, freq)
+    norms = tuple(norms)
+    key = (norms, span.start, span.end)
+    ranked = lm.ranked.get(key)
+    if ranked is None:
+        candidates: list[Candidate] = []
+        for label in group.labels:
+            sent, lm_score = lm.score_splice(norms, span.start, span.end, label)
+            wf_score = wf(label, freq)
+            combined = alpha * lm_score + (1.0 - alpha) * wf_score
+            candidates.append(Candidate(label, sent, lm_score, wf_score, combined))
+        lm.ranked[key] = (group, tuple(candidates))
+    elif ranked[0] is not group:
+        raise ValueError("a ScoreMemo serves one phrase table and one frequency table")
+    else:
+        candidates = [
+            Candidate(c.term, c.candidate_sentence, c.lm_score, c.wf_score,
+                      alpha * c.lm_score + (1.0 - alpha) * c.wf_score)
+            for c in ranked[1]
+        ]
     # labels are stored sorted and max keeps the first of equal keys, so the
     # smallest term wins ties
     best = max(candidates, key=lambda c: (c.combined, c.lm_score))
@@ -154,10 +172,16 @@ def simplify_once(
     """Run one pass: rank every span against this pass's input and splice winners.
 
     All spans are ranked against the same input sentence, then applied right to
-    left so earlier span offsets stay valid.
+    left so earlier span offsets stay valid. The memo keeps each distinct pass
+    input's spans, keyed by its norms.
     """
-    spans = extract_spans(tokens, table)
+    if not isinstance(lm, ScoreMemo):
+        lm = ScoreMemo(lm)
+    lm.serve(table, freq)
     norms = tuple(t.norm for t in tokens)
+    spans = lm.spans.get(norms)
+    if spans is None:
+        spans = lm.spans[norms] = extract_spans(tokens, table)
     replacements: list[Replacement] = []
     for span in spans:
         group = table.group(span.group_id)
@@ -188,11 +212,16 @@ def simplify(
     converged before the cap ends with an empty trace entry. Each distinct
     candidate sentence is scored by the language model once per call; an
     NgramModel scores each distinct pass input once and rescores only each
-    candidate's changed window (see ScoreMemo.score_splice).
+    candidate's changed window (see ScoreMemo.score_splice). A ScoreMemo
+    passed in also keeps each sentence's tokens, each pass input's spans and
+    each span's scored candidates for later calls (see ScoreMemo).
     """
     if not isinstance(lm, ScoreMemo):
         lm = ScoreMemo(lm)
-    tokens = tokenize(sentence)
+    lm.serve(table, freq)
+    tokens = lm.tokens.get(sentence)
+    if tokens is None:
+        tokens = lm.tokens[sentence] = tokenize(sentence)
     trace: list[tuple[Replacement, ...]] = []
     iterations = 0
     if tokens:

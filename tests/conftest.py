@@ -5,8 +5,10 @@ from collections import Counter
 import pytest
 from hypothesis import settings
 
+from plainterm.evaluation import default_alpha_grid
 from plainterm.ngram_lm import LookupScorer
 from plainterm.ontology import PhraseTable, read_table
+from plainterm.simplifier import SimplifierConfig, simplify
 from plainterm.wordfreq import FrequencyTable, load_table
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -39,9 +41,24 @@ class ConstantScorer:
         return self.value
 
 
+def grid_results(pairs, table, lm, freq):
+    """simplify(...).to_dict() of every dev source at every default grid point,
+    in grid_search_alpha's order; pass a ScoreMemo to share it across them all."""
+    return [
+        simplify(source, table, lm, freq, SimplifierConfig(alpha=alpha)).to_dict()
+        for alpha in default_alpha_grid()
+        for source, _ in pairs
+    ]
+
+
 @pytest.fixture
 def data_dir():
     return DATA
+
+
+@pytest.fixture
+def over_grid():
+    return grid_results
 
 
 @pytest.fixture

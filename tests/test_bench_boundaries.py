@@ -20,6 +20,9 @@ import pytest
 
 import plainterm.evaluation as evaluation
 import plainterm.simplifier as simplifier
+from plainterm.ngram_lm import ScoreMemo, load_scorer
+from plainterm.ontology import read_table
+from plainterm.wordfreq import load_table
 
 PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
@@ -64,3 +67,28 @@ def test_tiny_run_matches_recorded_digests(bench, tmp_path, workload):
     recorded = json.loads((PERFBENCH / "digests.json").read_text())[f"tiny/5/{workload}"]
     assert {"inputs": inputs, **out["digests"]} == recorded
     assert out["failed"] == 0
+
+
+def test_tiny_dev_set_gives_the_same_results_through_a_shared_memo(bench, tmp_path, over_grid):
+    """Every simplify result over the default grid, and the grid search's curve, on
+    the seed-5 tiny tune-grid inputs."""
+    _, worker = bench
+    worker.prepare("tune-grid", str(tmp_path), 5, "tiny")
+    with open(tmp_path / "table.tsv", encoding="utf-8") as fh:
+        table = read_table(fh)
+    with open(tmp_path / "freq.tsv", encoding="utf-8") as fh:
+        freq = load_table(fh)
+    lm = load_scorer(str(tmp_path / "lm.arpa"))
+    with open(tmp_path / "dev.tsv", encoding="utf-8") as fh:
+        pairs = [tuple(line.rstrip("\n").split("\t")) for line in fh]
+    shared = over_grid(pairs, table, ScoreMemo(lm), freq)
+    fresh = over_grid(pairs, table, lm, freq)
+    assert shared == fresh
+    assert repr(shared) == repr(fresh)
+    scores = (
+        [69.0282329756014] * 14 + [65.9534163042935] * 4 + [64.14345428234317] * 2
+        + [57.73362183084405] * 2 + [57.40837865837866] * 7
+    )
+    best, curve = evaluation.grid_search_alpha(pairs, table, lm, freq)
+    assert best == 0.0
+    assert repr(curve) == repr(list(zip(evaluation.default_alpha_grid(), scores)))

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given
@@ -22,6 +23,8 @@ from plainterm.evaluation import (
     sg_significance,
     simplification_gain,
 )
+import plainterm.simplifier as simplifier
+from plainterm.ngram_lm import ScoreMemo
 from plainterm.simplifier import SimplifierConfig, simplify
 
 from oracles import bleu_score, frozen_bleu, frozen_sari_components, sari_score
@@ -311,6 +314,21 @@ class TestGridSearch:
         assert best == 0.8
         assert [alpha for alpha, _ in curve] == [0.2, 0.8]
 
+    def test_curve_repr_is_pinned(self, tune):
+        pairs, table, lm, freq = tune
+        best, curve = grid_search_alpha(pairs, table, lm, freq)
+        assert best == 0.5
+        assert repr(curve) == repr(
+            [(alpha, 41.666666666666664 if alpha >= 0.5 else 5.5555555555555545) for alpha in default_alpha_grid()]
+        )
+
+    def test_a_shared_memo_gives_what_a_fresh_memo_per_call_gives(self, tune, over_grid):
+        pairs, table, lm, freq = tune
+        shared = over_grid(pairs, table, ScoreMemo(lm), freq)
+        fresh = over_grid(pairs, table, lm, freq)
+        assert shared == fresh
+        assert repr(shared) == repr(fresh)
+
     def test_each_distinct_sentence_scored_once_across_the_grid(self, tune, counting):
         pairs, table, lm, freq = tune
         scorer = counting(lm)
@@ -327,6 +345,41 @@ class TestGridSearch:
         # and a second call reaches the scorer again
         grid_search_alpha(pairs, table, scorer, freq)
         assert set(scorer.calls.values()) == {2}
+
+    def test_tokens_spans_and_wf_computed_once_for_the_whole_grid(self, two_stage, monkeypatch):
+        table, lm, freq = two_stage
+        pairs = [
+            ("Hyperlipidemia with elevated triglycerides .", "high fat in blood ."),
+            ("Hyperlipidemia with high triglycerides .", "high fat in blood ."),
+        ]
+        tokenized, spans, labels = Counter(), {}, Counter()
+        tokenize, extract_spans, wf = simplifier.tokenize, simplifier.extract_spans, simplifier.wf
+
+        def counted_tokenize(sentence):
+            tokenized[sentence] += 1
+            return tokenize(sentence)
+
+        def counted_extract_spans(tokens, table_):
+            norms = tuple(t.norm for t in tokens)
+            assert norms not in spans
+            spans[norms] = extract_spans(tokens, table_)
+            return spans[norms]
+
+        def counted_wf(label, freq_):
+            labels[label] += 1
+            return wf(label, freq_)
+
+        monkeypatch.setattr(simplifier, "tokenize", counted_tokenize)
+        monkeypatch.setattr(simplifier, "extract_spans", counted_extract_spans)
+        monkeypatch.setattr(simplifier, "wf", counted_wf)
+        _, curve = grid_search_alpha(pairs, table, lm, freq)
+        assert len(curve) == 29
+        assert tokenized == {source: 1 for source, _ in pairs}
+        # the two sources share pass inputs, and each is matched once
+        assert len(spans) > len(pairs)
+        # wf once per (pass input, span, label)
+        ranked = [label for found in spans.values() for span in found for label in table.group(span.group_id).labels]
+        assert labels == Counter(ranked)
 
     def test_empty_dev_set(self, tune):
         _, table, lm, freq = tune

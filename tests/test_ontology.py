@@ -159,6 +159,12 @@ class TestPhraseTable:
         with pytest.raises(ValueError, match="more than one group"):
             PhraseTable.from_groups([["a", "b"], ["b", "c"]])
 
+    @pytest.mark.parametrize("labels", [["", "big"], ["big", " "], ["big", "large", "\t"]])
+    def test_from_groups_rejects_an_empty_label(self, labels):
+        with pytest.raises(ValueError) as err:
+            PhraseTable.from_groups([["a", "b"], labels])
+        assert str(err.value) == "group 1: empty label"
+
     def test_max_label_len(self):
         table = PhraseTable.from_groups([["otalgia", "shortness of breath"]])
         assert table.max_label_len() == 3

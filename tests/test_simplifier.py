@@ -252,6 +252,26 @@ class TestScoreMemo:
         self.run(two_stage, memo)
         assert set(scorer.calls.values()) == {1}
 
+    def test_a_memo_serves_one_table_and_one_frequency_table(self, two_stage):
+        table, lm, freq = two_stage
+        memo = ScoreMemo(lm)
+        first = self.run(two_stage, memo)
+        same_groups = PhraseTable.from_groups([[" ".join(label) for label in g.labels] for g in table.groups])
+        tokens = tokenize(first.original)
+        norms, span = tuple(t.norm for t in tokens), extract_spans(tokens, table)[0]
+        config = SimplifierConfig(alpha=1.0)
+        for call in (
+            lambda: simplify(first.original, same_groups, memo, freq, config),
+            lambda: simplify(first.original, table, memo, FrequencyTable({}), config),
+            lambda: simplify_once(tokens, same_groups, memo, freq, config),
+            lambda: rank_span(norms, span, table.group(span.group_id), memo, FrequencyTable({}), 1.0),
+            # the span this memo ranked, but with another table's group
+            lambda: rank_span(norms, span, same_groups.group(span.group_id), memo, freq, 1.0),
+        ):
+            with pytest.raises(ValueError, match="one phrase table and one frequency table"):
+                call()
+        assert self.run(two_stage, memo) == first
+
 
 class TestWindowScoring:
     """Around an NgramModel, candidates are rescored only in their changed window."""
