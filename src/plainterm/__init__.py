@@ -19,6 +19,7 @@ from .ontology import (
 )
 from .simplifier import (
     Candidate,
+    ScoreMemo,
     SimplificationResult,
     SimplifierConfig,
     rank_span,
@@ -51,6 +52,7 @@ __all__ = [
     "LookupScorer",
     "NgramModel",
     "PhraseTable",
+    "ScoreMemo",
     "SimplificationResult",
     "SimplifierConfig",
     "Span",

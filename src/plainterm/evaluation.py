@@ -14,9 +14,9 @@ from collections import Counter, defaultdict
 from dataclasses import astuple, dataclass, fields
 from typing import IO, Iterable, Iterator, Sequence
 
-from .ngram_lm import LmScorer, ScoreMemo
+from .ngram_lm import LmScorer
 from .ontology import PhraseTable
-from .simplifier import SimplifierConfig, simplify
+from .simplifier import ScoreMemo, SimplifierConfig, simplify
 from .textproc import ngrams
 from .wordfreq import FrequencyTable
 
@@ -321,7 +321,7 @@ def default_alpha_grid() -> list[float]:
 def grid_search_alpha(
     dev_pairs: Sequence[tuple[str, str]],
     table: PhraseTable,
-    lm: LmScorer | ScoreMemo,
+    lm: LmScorer,
     freq: FrequencyTable,
     grid: Sequence[float] | None = None,
     max_iterations: int = SimplifierConfig.max_iterations,
@@ -342,13 +342,12 @@ def grid_search_alpha(
     points = list(grid) if grid is not None else default_alpha_grid()
     if not points:
         raise ValueError("empty alpha grid")
-    if not isinstance(lm, ScoreMemo):
-        lm = ScoreMemo(lm)
+    memo = ScoreMemo(lm, table, freq)
     sources, references = zip(*pairs)
     curve: list[tuple[float, float]] = []
     for alpha in points:
         config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
-        outputs = [simplify(source, table, lm, freq, config).final for source in sources]
+        outputs = [simplify(source, table, memo, freq, config).final for source in sources]
         curve.append((alpha, mean_sari(sources, outputs, references)))
     best_alpha, _ = max(curve, key=lambda point: (point[1], -point[0]))
     return best_alpha, curve

@@ -22,7 +22,6 @@ __all__ = [
     "STOP",
     "UNK",
     "LmScorer",
-    "ScoreMemo",
     "NgramModel",
     "LookupScorer",
     "train",
@@ -43,86 +42,12 @@ _PLACEHOLDER_LOG10 = -99.0
 class LmScorer(Protocol):
     """Anything that maps a token sequence to a mean log-probability.
 
-    A scorer must be pure: the same tokens always get the same score.
-    simplify scores each distinct sentence once per call, and
-    grid_search_alpha once for its whole grid, and they reuse that score.
+    A scorer must be pure: the same tokens always get the same score, so a
+    caller may keep a score and never ask for it again.
     """
 
     def score(self, tokens: Sequence[str]) -> float:
         ...
-
-
-class ScoreMemo:
-    """Keeps what simplification computes that does not depend on alpha.
-
-    It asks its inner scorer once per distinct sentence and keeps every
-    score. Around an NgramModel it also keeps the per-position
-    log-probabilities of each sentence it splices into, so a splice rescores
-    only the positions it changed. For the simplifier it keeps the tokens of
-    each input sentence (simplify), the spans of each distinct pass input,
-    keyed by its norms (simplify_once), and each span's scored candidates,
-    keyed by pass input and span (rank_span). Only the combined score and its
-    argmax depend on alpha, so grid_search_alpha shares one memo across its
-    whole grid.
-
-    Spans and wf scores hold for one phrase table and one frequency table:
-    the memo serves the first of each it is given, and any other raises
-    ValueError. It keeps everything it has seen, so make one per call that
-    simplifies many overlapping sentences and let it go when that call
-    returns.
-    """
-
-    def __init__(self, lm: LmScorer) -> None:
-        self.lm = lm
-        self.scores: dict[tuple[str, ...], float] = {}
-        self.bases: dict[tuple[str, ...], list[float]] = {}
-        self.table: object | None = None
-        self.freq: object | None = None
-        self.tokens: dict[str, list] = {}
-        self.spans: dict[tuple[str, ...], list] = {}
-        # (norms, start, end) -> (group, candidates)
-        self.ranked: dict[tuple[tuple[str, ...], int, int], tuple[object, tuple]] = {}
-
-    def serve(self, table: object | None, freq: object) -> None:
-        """Tie the memo to one phrase table and one frequency table.
-
-        The first of each it is given is kept, and any other raises
-        ValueError. rank_span sees no table and passes None.
-        """
-        if self.freq is None:
-            self.freq = freq
-        if self.table is None:
-            self.table = table
-        if freq is not self.freq or (table is not None and table is not self.table):
-            raise ValueError("a ScoreMemo serves one phrase table and one frequency table")
-
-    def score_splice(
-        self, norms: tuple[str, ...], start: int, end: int, label: Sequence[str]
-    ) -> tuple[tuple[str, ...], float]:
-        """Score norms with norms[start:end] replaced by label; return (sentence, score).
-
-        For an NgramModel only positions start .. start + len(label) + order - 2
-        can change: later words see none of the splice in their context. The
-        others are the base's, and fsum of the same values in any order gives
-        the same float, so the score equals NgramModel.score of the sentence.
-        Any other scorer scores the whole sentence.
-        """
-        sent = (*norms[:start], *label, *norms[end:])
-        score = self.scores.get(sent)
-        if score is None:
-            lm = self.lm
-            if isinstance(lm, NgramModel):
-                base = self.bases.get(norms)
-                if base is None:
-                    base = self.bases[norms] = lm.logprobs(norms, 0, len(norms))
-                stop = min(start + len(label) + lm.order - 1, len(sent))
-                shift = end - start - len(label)
-                logps = base[:start] + lm.logprobs(sent, start, stop) + base[stop + shift :]
-                score = math.fsum(logps) / len(sent)
-            else:
-                score = lm.score(sent)
-            self.scores[sent] = score
-        return sent, score
 
 
 @dataclass

@@ -8,11 +8,12 @@ sentence repeats (cycle guard), or the iteration cap is hit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ngram_lm import LmScorer, ScoreMemo
-from .ontology import AlternativeGroup, Label, PhraseTable
+from .ngram_lm import LmScorer, NgramModel
+from .ontology import Label, PhraseTable
 from .textproc import Span, Token, detokenize, extract_spans, tokenize
 from .wordfreq import FrequencyTable, wf
 
@@ -21,6 +22,7 @@ __all__ = [
     "SimplifierConfig",
     "Replacement",
     "SimplificationResult",
+    "ScoreMemo",
     "rank_span",
     "simplify_once",
     "simplify",
@@ -111,50 +113,98 @@ class SimplificationResult:
         }
 
 
+class ScoreMemo:
+    """Keeps what simplification computes that does not depend on alpha.
+
+    A memo is bound to one scorer, one phrase table and one frequency table.
+    It asks the scorer once per distinct sentence and keeps every score.
+    Around an NgramModel it also keeps the per-position log-probabilities of
+    each sentence it splices into, so a splice rescores only the positions
+    it changed. It keeps the tokens of each input sentence (simplify), the
+    spans of each distinct pass input, keyed by its norms (simplify_once),
+    and each span's scored candidates, keyed by pass input and span
+    (rank_span). Only the combined score and its argmax depend on alpha, so
+    grid_search_alpha shares one memo across its whole grid.
+
+    It keeps everything it has seen, so make one per call that simplifies
+    many overlapping sentences and let it go when that call returns.
+    """
+
+    def __init__(self, lm: LmScorer, table: PhraseTable, freq: FrequencyTable) -> None:
+        self.lm = lm
+        self.table = table
+        self.freq = freq
+        self.scores: dict[tuple[str, ...], float] = {}
+        self.bases: dict[tuple[str, ...], list[float]] = {}
+        self.tokens: dict[str, list[Token]] = {}
+        self.spans: dict[tuple[str, ...], list[Span]] = {}
+        # (norms, start, end) -> the span's candidates
+        self.ranked: dict[tuple[tuple[str, ...], int, int], tuple[Candidate, ...]] = {}
+
+    def score_splice(
+        self, norms: tuple[str, ...], start: int, end: int, label: Sequence[str]
+    ) -> tuple[tuple[str, ...], float]:
+        """Score norms with norms[start:end] replaced by label; return (sentence, score).
+
+        For an NgramModel only positions start .. start + len(label) + order - 2
+        can change: later words see none of the splice in their context. The
+        others are the base's, and fsum of the same values in any order gives
+        the same float, so the score equals NgramModel.score of the sentence.
+        Any other scorer scores the whole sentence.
+        """
+        sent = (*norms[:start], *label, *norms[end:])
+        score = self.scores.get(sent)
+        if score is None:
+            lm = self.lm
+            if isinstance(lm, NgramModel):
+                base = self.bases.get(norms)
+                if base is None:
+                    base = self.bases[norms] = lm.logprobs(norms, 0, len(norms))
+                stop = min(start + len(label) + lm.order - 1, len(sent))
+                shift = end - start - len(label)
+                logps = base[:start] + lm.logprobs(sent, start, stop) + base[stop + shift :]
+                score = math.fsum(logps) / len(sent)
+            else:
+                score = lm.score(sent)
+            self.scores[sent] = score
+        return sent, score
+
+
 def rank_span(
     norms: tuple[str, ...],
     span: Span,
-    group: AlternativeGroup,
-    lm: LmScorer | ScoreMemo,
-    freq: FrequencyTable,
+    memo: ScoreMemo,
     alpha: float,
 ) -> tuple[Label, list[Candidate]]:
     """Score every alternative for one span and pick the best term.
 
-    norms are the lowercased tokens of the pass input (a list is taken as
-    its tuple). The language model scores the full sentence with the
-    alternative spliced in, through ScoreMemo.score_splice (a bare scorer is
-    wrapped in a ScoreMemo for this call); the frequency score sees the bare
-    term. Combined score is alpha * lm + (1 - alpha) * wf.
+    norms are the lowercased tokens of the pass input. The alternatives are
+    the labels of the span's group in the memo's phrase table. The language
+    model scores the full sentence with the alternative spliced in, through
+    ScoreMemo.score_splice; the frequency score sees the bare term. Combined
+    score is alpha * lm + (1 - alpha) * wf.
     The memo keeps each span's candidates, keyed by the pass input and the
     span, so a later call for the same span at another alpha recomputes only
-    the combined scores. It raises ValueError for a frequency table other
-    than the one it serves, or a group other than the one it ranked.
+    the combined scores.
     Ties go to the higher lm score, then to the lexicographically smallest
     term. The matched text is itself a group label, so keeping it is one of
     the candidates and a span is only rewritten when an alternative beats it.
     """
-    if not isinstance(lm, ScoreMemo):
-        lm = ScoreMemo(lm)
-    lm.serve(None, freq)
-    norms = tuple(norms)
     key = (norms, span.start, span.end)
-    ranked = lm.ranked.get(key)
+    ranked = memo.ranked.get(key)
     if ranked is None:
         candidates: list[Candidate] = []
-        for label in group.labels:
-            sent, lm_score = lm.score_splice(norms, span.start, span.end, label)
-            wf_score = wf(label, freq)
+        for label in memo.table.group(span.group_id).labels:
+            sent, lm_score = memo.score_splice(norms, span.start, span.end, label)
+            wf_score = wf(label, memo.freq)
             combined = alpha * lm_score + (1.0 - alpha) * wf_score
             candidates.append(Candidate(label, sent, lm_score, wf_score, combined))
-        lm.ranked[key] = (group, tuple(candidates))
-    elif ranked[0] is not group:
-        raise ValueError("a ScoreMemo serves one phrase table and one frequency table")
+        memo.ranked[key] = tuple(candidates)
     else:
         candidates = [
             Candidate(c.term, c.candidate_sentence, c.lm_score, c.wf_score,
                       alpha * c.lm_score + (1.0 - alpha) * c.wf_score)
-            for c in ranked[1]
+            for c in ranked
         ]
     # labels are stored sorted and max keeps the first of equal keys, so the
     # smallest term wins ties
@@ -164,9 +214,7 @@ def rank_span(
 
 def simplify_once(
     tokens: Sequence[Token],
-    table: PhraseTable,
-    lm: LmScorer | ScoreMemo,
-    freq: FrequencyTable,
+    memo: ScoreMemo,
     config: SimplifierConfig,
 ) -> tuple[list[Token], list[Replacement]]:
     """Run one pass: rank every span against this pass's input and splice winners.
@@ -175,17 +223,13 @@ def simplify_once(
     left so earlier span offsets stay valid. The memo keeps each distinct pass
     input's spans, keyed by its norms.
     """
-    if not isinstance(lm, ScoreMemo):
-        lm = ScoreMemo(lm)
-    lm.serve(table, freq)
     norms = tuple(t.norm for t in tokens)
-    spans = lm.spans.get(norms)
+    spans = memo.spans.get(norms)
     if spans is None:
-        spans = lm.spans[norms] = extract_spans(tokens, table)
+        spans = memo.spans[norms] = extract_spans(tokens, memo.table)
     replacements: list[Replacement] = []
     for span in spans:
-        group = table.group(span.group_id)
-        chosen, candidates = rank_span(norms, span, group, lm, freq, config.alpha)
+        chosen, candidates = rank_span(norms, span, memo, config.alpha)
         if chosen != span.matched:
             replacements.append(Replacement(span, chosen, tuple(candidates)))
     out = list(tokens)
@@ -209,25 +253,29 @@ def simplify(
 
     The reported iteration count is the number of passes that changed the
     sentence; the trace has one entry per executed pass, so a run that
-    converged before the cap ends with an empty trace entry. Each distinct
-    candidate sentence is scored by the language model once per call; an
-    NgramModel scores each distinct pass input once and rescores only each
-    candidate's changed window (see ScoreMemo.score_splice). A ScoreMemo
-    passed in also keeps each sentence's tokens, each pass input's spans and
-    each span's scored candidates for later calls (see ScoreMemo).
+    converged before the cap ends with an empty trace entry. A bare scorer
+    gets a ScoreMemo for this call, so each distinct candidate sentence is
+    scored once per call; an NgramModel scores each distinct pass input once
+    and rescores only each candidate's changed window (see
+    ScoreMemo.score_splice). A ScoreMemo passed in keeps all of it for later
+    calls; it must be bound to this table and this frequency table, or
+    ValueError is raised.
     """
-    if not isinstance(lm, ScoreMemo):
-        lm = ScoreMemo(lm)
-    lm.serve(table, freq)
-    tokens = lm.tokens.get(sentence)
+    if isinstance(lm, ScoreMemo):
+        memo = lm
+        if memo.table is not table or memo.freq is not freq:
+            raise ValueError("a ScoreMemo serves one phrase table and one frequency table")
+    else:
+        memo = ScoreMemo(lm, table, freq)
+    tokens = memo.tokens.get(sentence)
     if tokens is None:
-        tokens = lm.tokens[sentence] = tokenize(sentence)
+        tokens = memo.tokens[sentence] = tokenize(sentence)
     trace: list[tuple[Replacement, ...]] = []
     iterations = 0
     if tokens:
         seen = {tuple(t.norm for t in tokens)}
         for _ in range(config.max_iterations):
-            tokens_next, replacements = simplify_once(tokens, table, lm, freq, config)
+            tokens_next, replacements = simplify_once(tokens, memo, config)
             trace.append(tuple(replacements))
             if not replacements:
                 break

@@ -23,7 +23,7 @@ from plainterm.evaluation import (
 )
 from plainterm.ngram_lm import LookupScorer, load_arpa, save_arpa, train
 from plainterm.ontology import PhraseTable, align, parse_records, read_table
-from plainterm.simplifier import SimplifierConfig, rank_span, simplify
+from plainterm.simplifier import ScoreMemo, SimplifierConfig, rank_span, simplify
 from plainterm.textproc import extract_spans, tokenize
 from plainterm.wordfreq import build_table, load_table
 
@@ -66,15 +66,14 @@ def test_ranking_fixture_selects_common_phrase_across_weights():
         freq = load_table(fh)
     tokens = tokenize("Patient had multiple myocardial infarctions .")
     (span,) = extract_spans(tokens, table)
-    group = table.group(span.group_id)
-    norms = [t.norm for t in tokens]
+    norms = tuple(t.norm for t in tokens)
     ok = True
     for alpha in (0.60, 0.70, 0.90, 1.00):
-        chosen, _ = rank_span(norms, span, group, lm, freq, alpha)
+        chosen, _ = rank_span(norms, span, ScoreMemo(lm, table, freq), alpha)
         ok = ok and chosen == ("heart", "attacks")
     # at alpha 0 the two plural variants tie on familiarity and the language
     # model breaks the tie
-    chosen, _ = rank_span(norms, span, group, lm, freq, 0.0)
+    chosen, _ = rank_span(norms, span, ScoreMemo(lm, table, freq), 0.0)
     ok = ok and chosen == ("heart", "attacks")
     elapsed = time.perf_counter() - started
     _check(

@@ -20,7 +20,7 @@ import pytest
 
 import plainterm.evaluation as evaluation
 import plainterm.simplifier as simplifier
-from plainterm.ngram_lm import ScoreMemo, load_scorer
+from plainterm.ngram_lm import load_scorer
 from plainterm.ontology import read_table
 from plainterm.wordfreq import load_table
 
@@ -81,7 +81,7 @@ def test_tiny_dev_set_gives_the_same_results_through_a_shared_memo(bench, tmp_pa
     lm = load_scorer(str(tmp_path / "lm.arpa"))
     with open(tmp_path / "dev.tsv", encoding="utf-8") as fh:
         pairs = [tuple(line.rstrip("\n").split("\t")) for line in fh]
-    shared = over_grid(pairs, table, ScoreMemo(lm), freq)
+    shared = over_grid(pairs, table, simplifier.ScoreMemo(lm, table, freq), freq)
     fresh = over_grid(pairs, table, lm, freq)
     assert shared == fresh
     assert repr(shared) == repr(fresh)

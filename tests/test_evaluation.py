@@ -24,8 +24,7 @@ from plainterm.evaluation import (
     simplification_gain,
 )
 import plainterm.simplifier as simplifier
-from plainterm.ngram_lm import ScoreMemo
-from plainterm.simplifier import SimplifierConfig, simplify
+from plainterm.simplifier import ScoreMemo, SimplifierConfig, simplify
 
 from oracles import bleu_score, frozen_bleu, frozen_sari_components, sari_score
 
@@ -324,7 +323,7 @@ class TestGridSearch:
 
     def test_a_shared_memo_gives_what_a_fresh_memo_per_call_gives(self, tune, over_grid):
         pairs, table, lm, freq = tune
-        shared = over_grid(pairs, table, ScoreMemo(lm), freq)
+        shared = over_grid(pairs, table, ScoreMemo(lm, table, freq), freq)
         fresh = over_grid(pairs, table, lm, freq)
         assert shared == fresh
         assert repr(shared) == repr(fresh)

@@ -14,12 +14,14 @@ from plainterm.ngram_lm import (
     UNK,
     LookupScorer,
     NgramModel,
-    ScoreMemo,
     load_arpa,
     load_scorer,
     save_arpa,
     train,
 )
+from plainterm.ontology import PhraseTable
+from plainterm.simplifier import ScoreMemo
+from plainterm.wordfreq import FrequencyTable
 
 from oracles import frozen_save_arpa, frozen_train
 
@@ -338,7 +340,7 @@ def test_window_scores_equal_whole_sentence_scores():
     )
     def check(corpus, order, min_count, sentence, splices):
         model = train(corpus, order=order, min_count=min_count)
-        memo = ScoreMemo(model)
+        memo = ScoreMemo(model, PhraseTable.from_groups([]), FrequencyTable())
         norms = tuple(sentence)
         for a, b, label in splices:
             start, end = sorted((min(a, len(norms)), min(b, len(norms))))

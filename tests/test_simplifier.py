@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plainterm.simplifier
-from plainterm.ngram_lm import LookupScorer, ScoreMemo, load_arpa, save_arpa, train
+from plainterm.ngram_lm import LookupScorer, load_arpa, save_arpa, train
 from plainterm.ontology import PhraseTable, align, normalize_label, parse_records, read_table
 from plainterm.simplifier import (
+    ScoreMemo,
     SimplifierConfig,
     rank_span,
     simplify,
@@ -52,8 +53,7 @@ class TestRankSpan:
 
     def rank(self, alpha, lm=None, freq=None):
         norms, span = span_for("a big dog .", self.table)
-        group = self.table.group(span.group_id)
-        return rank_span(norms, span, group, lm or self.lm, freq or self.freq, alpha)
+        return rank_span(norms, span, ScoreMemo(lm or self.lm, self.table, freq or self.freq), alpha)
 
     def test_pure_lm_picks_fluent_candidate(self):
         chosen, _ = self.rank(alpha=1.0)
@@ -101,7 +101,7 @@ class TestSimplifyOnce:
         lm = LookupScorer({"a big dog .": -2.0, "a large dog .": -1.0})
         freq = FrequencyTable({})
         tokens = tokenize("a big dog .")
-        out, reps = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=1.0))
+        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0))
         assert [t.text for t in out] == ["a", "large", "dog", "."]
         assert len(reps) == 1
         assert reps[0].chosen == ("large",)
@@ -110,7 +110,7 @@ class TestSimplifyOnce:
         table = PhraseTable.from_groups([["big", "large"]])
         lm = LookupScorer({"a big dog .": -1.0, "a large dog .": -2.0})
         tokens = tokenize("a big dog .")
-        out, reps = simplify_once(tokens, table, lm, FrequencyTable({}), SimplifierConfig(alpha=1.0))
+        out, reps = simplify_once(tokens, ScoreMemo(lm, table, FrequencyTable({})), SimplifierConfig(alpha=1.0))
         assert reps == []
         assert [t.text for t in out] == ["a", "big", "dog", "."]
 
@@ -119,7 +119,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "earache": 0.5, "pyrexia": 1e-9, "otalgia": 1e-9})
         tokens = tokenize("pyrexia and otalgia .")
-        out, reps = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=0.0))
+        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Fever", "and", "earache", "."]
         assert len(reps) == 2
 
@@ -128,7 +128,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("Pyrexia was noted .")
-        out, _ = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=0.0))
+        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Fever", "was", "noted", "."]
 
     def test_mid_sentence_replacement_stays_lowercase(self, constant):
@@ -136,7 +136,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("Noted Pyrexia today .")
-        out, _ = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=0.0))
+        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Noted", "fever", "today", "."]
 
     def test_longer_replacement_shifts_following_tokens(self, constant):
@@ -144,7 +144,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"shortness": 0.1, "of": 0.5, "breath": 0.1, "dyspnoea": 1e-9})
         tokens = tokenize("dyspnoea worse at night .")
-        out, _ = simplify_once(tokens, table, lm, freq, SimplifierConfig(alpha=0.0))
+        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Shortness", "of", "breath", "worse", "at", "night", "."]
         assert [t.norm for t in out] == ["shortness", "of", "breath", "worse", "at", "night", "."]
 
@@ -153,7 +153,7 @@ class TestSimplifyOnce:
         table = PhraseTable.from_groups([["pyrexia", "ßfever"]])
         lm = constant(-1.0)
         freq = FrequencyTable({"ßfever": 0.5, "pyrexia": 1e-9})
-        out, _ = simplify_once(tokenize("pyrexia ."), table, lm, freq, SimplifierConfig(alpha=0.0))
+        out, _ = simplify_once(tokenize("pyrexia ."), ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert out == tokenize("SSfever .")
 
 
@@ -246,27 +246,22 @@ class TestScoreMemo:
         assert scorer.calls == {key: 2 * n for key, n in once.items()}
 
     def test_a_memo_passed_in_is_used_as_is(self, two_stage, counting):
-        scorer = counting(two_stage[1])
-        memo = ScoreMemo(scorer)
+        table, lm, freq = two_stage
+        scorer = counting(lm)
+        memo = ScoreMemo(scorer, table, freq)
         self.run(two_stage, memo)
         self.run(two_stage, memo)
         assert set(scorer.calls.values()) == {1}
 
     def test_a_memo_serves_one_table_and_one_frequency_table(self, two_stage):
         table, lm, freq = two_stage
-        memo = ScoreMemo(lm)
+        memo = ScoreMemo(lm, table, freq)
         first = self.run(two_stage, memo)
         same_groups = PhraseTable.from_groups([[" ".join(label) for label in g.labels] for g in table.groups])
-        tokens = tokenize(first.original)
-        norms, span = tuple(t.norm for t in tokens), extract_spans(tokens, table)[0]
         config = SimplifierConfig(alpha=1.0)
         for call in (
             lambda: simplify(first.original, same_groups, memo, freq, config),
             lambda: simplify(first.original, table, memo, FrequencyTable({}), config),
-            lambda: simplify_once(tokens, same_groups, memo, freq, config),
-            lambda: rank_span(norms, span, table.group(span.group_id), memo, FrequencyTable({}), 1.0),
-            # the span this memo ranked, but with another table's group
-            lambda: rank_span(norms, span, same_groups.group(span.group_id), memo, freq, 1.0),
         ):
             with pytest.raises(ValueError, match="one phrase table and one frequency table"):
                 call()
