@@ -37,6 +37,14 @@ def _read_lines(path: str) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
+def _as_usage_error(check, *args, **kwargs):
+    """Call check; a ValueError from it is a flag error, so it is a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_build_table(args: argparse.Namespace) -> int:
     records = []
     for path in args.ontologies:
@@ -50,6 +58,7 @@ def cmd_build_table(args: argparse.Namespace) -> int:
 
 
 def cmd_train_lm(args: argparse.Namespace) -> int:
+    _as_usage_error(ngram_lm.check_train_settings, args.order, args.discount, args.min_count)
     with open_text(args.corpus) as fh:
         model = ngram_lm.train(
             fh, order=args.order, discount=args.discount, min_count=args.min_count
@@ -72,16 +81,8 @@ def _load_models(
     return table, lm, freq
 
 
-def _config(alpha: float, max_iterations: int) -> simplifier.SimplifierConfig:
-    """A run's settings; a bad value is a flag error, so it is a usage error."""
-    try:
-        return simplifier.SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_simplify(args: argparse.Namespace) -> int:
-    config = _config(args.alpha, args.max_iterations)
+    config = _as_usage_error(simplifier.SimplifierConfig, alpha=args.alpha, max_iterations=args.max_iterations)
     sentences = _read_lines(args.input)
     for line_no, sentence in enumerate(sentences, start=1):
         # the original is copied into the output row, so a tab would add columns
@@ -131,6 +132,8 @@ def _evaluate_judgments(args: argparse.Namespace, out_lines: list[str]) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _as_usage_error(evaluation.check_replications, args.replications)
+    _as_usage_error(evaluation.check_iterations, args.iterations)
     have_bleu = bool(args.outputs and args.references)
     have_sari = have_bleu and bool(args.sources)
     have_sg = bool(args.judgments)
@@ -184,7 +187,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else None
     # with no --grid, checking the default alpha still checks --max-iterations
     for alpha in grid or [simplifier.SimplifierConfig.alpha]:
-        _config(alpha, args.max_iterations)
+        _as_usage_error(simplifier.SimplifierConfig, alpha=alpha, max_iterations=args.max_iterations)
         # the curve prints alpha to 2 decimals, so a finer point would print as its neighbour
         if round(alpha, 2) != alpha:
             raise UsageError(f"grid point {alpha!r} has more than 2 decimals")

@@ -27,11 +27,14 @@ __all__ = [
     "simplification_gain",
     "load_judgments",
     "load_unchanged",
+    "check_replications",
     "aggregate_judgments",
     "sari",
     "sari_components",
     "mean_sari",
     "bleu",
+    "MAX_BOOTSTRAP_ITERATIONS",
+    "check_iterations",
     "sg_significance",
     "alpha_range",
     "default_alpha_grid",
@@ -40,6 +43,9 @@ __all__ = [
 ]
 
 CATEGORIES = ("S", "F", "E", "N")
+
+# sg_significance draws iterations x 5 int64 per system, 40 MB each at this bound
+MAX_BOOTSTRAP_ITERATIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,12 @@ def load_unchanged(stream: IO[str] | Iterable[str]) -> list[tuple[str, str]]:
     return [(sentence_id, system_id) for _, (sentence_id, system_id) in pairs]
 
 
+def check_replications(replications: int) -> None:
+    """Raise ValueError unless each unchanged pair counts as at least one judgment."""
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+
+
 def aggregate_judgments(
     records: Iterable[JudgmentRecord],
     unchanged: Iterable[tuple[str, str]] = (),
@@ -126,8 +138,7 @@ def aggregate_judgments(
     collection setup where each changed pair is judged that many times but
     identical pairs are judged once and extrapolated.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    check_replications(replications)
     tallies: dict[str, Counter[str]] = defaultdict(Counter)
     for idx, rec in enumerate(records):
         if rec.category not in CATEGORIES:
@@ -264,6 +275,12 @@ def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> f
     return 100.0 * brevity * math.exp(math.fsum(log_precisions) / max_n)
 
 
+def check_iterations(iterations: int) -> None:
+    """Raise ValueError unless 1000 <= iterations <= MAX_BOOTSTRAP_ITERATIONS."""
+    if not 1000 <= iterations <= MAX_BOOTSTRAP_ITERATIONS:
+        raise ValueError(f"iterations must be in [1000, {MAX_BOOTSTRAP_ITERATIONS}], got {iterations}")
+
+
 def sg_significance(
     a: EvalCounts,
     b: EvalCounts,
@@ -275,12 +292,12 @@ def sg_significance(
     Each system's judgment multiset is resampled with replacement (as a
     multinomial over its category proportions) `iterations` times; the p-value
     is twice the smaller tail of the resampled difference around zero, with an
-    add-one correction so it is never exactly 0.
+    add-one correction so it is never exactly 0. iterations is checked by
+    check_iterations before anything is drawn.
     """
+    check_iterations(iterations)
     if a.total == 0 or b.total == 0:
         raise ValueError("no judgments")
-    if iterations < 1000:
-        raise ValueError("iterations must be >= 1000")
     # imported here, its only use, so that importing the package stays cheap
     import numpy as np
 

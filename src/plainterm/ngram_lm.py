@@ -24,6 +24,8 @@ __all__ = [
     "LmScorer",
     "NgramModel",
     "LookupScorer",
+    "MAX_ORDER",
+    "check_train_settings",
     "train",
     "save_arpa",
     "load_arpa",
@@ -33,6 +35,9 @@ __all__ = [
 START = "<s>"
 STOP = "</s>"
 UNK = "<unk>"
+
+# train pads every sentence with order - 1 start symbols
+MAX_ORDER = 10
 
 _LN10 = math.log(10.0)
 # conventional ARPA placeholder for entries that exist only to carry a backoff weight
@@ -147,6 +152,16 @@ class LookupScorer:
         return cls(scores)
 
 
+def check_train_settings(order: int, discount: float, min_count: int) -> None:
+    """Raise ValueError for a setting train refuses, before anything is read."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    if not 0.0 < discount < 1.0:
+        raise ValueError(f"discount must be in (0, 1), got {discount}")
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+
+
 def train(
     corpus: Iterable[str],
     order: int = 3,
@@ -161,13 +176,7 @@ def train(
     position, so lower-order distributions come from the same events, and is
     turned into probabilities before the next order is counted.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if not 0.0 < discount < 1.0:
-        raise ValueError("discount must be in (0, 1)")
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-
+    check_train_settings(order, discount, min_count)
     sentences = [words for line in corpus if (words := line.split())]
     raw_counts: Counter[str] = Counter()
     for words in sentences:

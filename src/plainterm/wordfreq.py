@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -11,8 +10,6 @@ from typing import IO, Iterable, Sequence
 from .textproc import rows
 
 __all__ = ["FrequencyTable", "load_table", "build_table", "wf"]
-
-log = logging.getLogger(__name__)
 
 EPSILON = 1e-10
 
@@ -25,7 +22,7 @@ class FrequencyTable:
 
 
 def load_table(stream: IO[str] | Iterable[str]) -> FrequencyTable:
-    """Load word<TAB>probability rows; keys are lowercased, later duplicates win."""
+    """Load word<TAB>probability rows; keys are lowercased, and a word may appear once."""
     probs: dict[str, float] = {}
     for line_no, cols in rows(stream, 2):
         word = cols[0].strip().lower()
@@ -37,9 +34,8 @@ def load_table(stream: IO[str] | Iterable[str]) -> FrequencyTable:
             raise ValueError(f"line {line_no}: bad probability {cols[1]!r}") from None
         if not 0.0 < prob <= 1.0:
             raise ValueError(f"line {line_no}: probability {prob} outside (0, 1]")
-        if word in probs:
-            log.warning("duplicate frequency entry for %r at line %d, keeping the later value", word, line_no)
-        probs[word] = prob
+        if probs.setdefault(word, prob) is not prob:
+            raise ValueError(f"line {line_no}: duplicate word {word!r}")
     return FrequencyTable(probs)
 
 

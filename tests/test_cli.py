@@ -48,10 +48,21 @@ class TestTrainLm:
         assert model.order == 3
         assert "<unk>" in model.vocab
 
-    def test_bad_discount_exits_1(self, data_dir, capsys):
-        code = run(["train-lm", str(data_dir / "pipeline_corpus.txt"), "--discount", "2.0"])
-        assert code == 1
-        assert "discount" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--discount", "2.0"], "discount must be in (0, 1), got 2.0"),
+            (["--discount", "1.5"], "discount must be in (0, 1), got 1.5"),
+            (["--order", "0"], "order must be in [1, 10], got 0"),
+            (["--order", "11"], "order must be in [1, 10], got 11"),
+            (["--min-count", "0"], "min_count must be >= 1, got 0"),
+        ],
+        ids=["discount-2.0", "discount-1.5", "order-0", "order-11", "min-count-0"],
+    )
+    def test_bad_setting_is_usage_error_before_any_load(self, tmp_path, capsys, flag, message):
+        # reading the missing corpus would exit 1
+        assert run(["train-lm", str(tmp_path / "missing.txt"), *flag]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 class TestSimplify:
@@ -220,6 +231,21 @@ class TestEvaluate:
         code = run(["evaluate", "--judgments", str(judgments), "--compare", "a", "zz"])
         assert code == 1
         assert "not present" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--iterations", "999"], "iterations must be in [1000, 1000000], got 999"),
+            (["--iterations", "1000001"], "iterations must be in [1000, 1000000], got 1000001"),
+            (["--replications", "0"], "replications must be >= 1, got 0"),
+        ],
+        ids=["iterations-999", "iterations-1000001", "replications-0"],
+    )
+    def test_bad_setting_is_usage_error_before_any_load(self, tmp_path, capsys, flag, message):
+        # reading the missing judgments would exit 1
+        argv = ["evaluate", "--judgments", str(tmp_path / "missing.csv"), "--compare", "a", "b"]
+        assert run([*argv, *flag]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_selector_without_inputs_is_usage_error(self, capsys):
         assert run(["evaluate", "--bleu"]) == 2

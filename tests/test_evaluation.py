@@ -8,11 +8,13 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from plainterm.evaluation import (
+    MAX_BOOTSTRAP_ITERATIONS,
     EvalCounts,
     JudgmentRecord,
     aggregate_judgments,
     alpha_range,
     bleu,
+    check_iterations,
     default_alpha_grid,
     format_report,
     grid_search_alpha,
@@ -260,6 +262,13 @@ class TestSignificance:
     def test_iteration_floor(self):
         with pytest.raises(ValueError, match="iterations"):
             sg_significance(HUMAN, NGRAM, iterations=10)
+
+    def test_iterations_are_bounded_before_any_draw(self):
+        # one past the bound is refused before numpy allocates anything
+        with pytest.raises(ValueError, match=rf"got {MAX_BOOTSTRAP_ITERATIONS + 1}"):
+            sg_significance(HUMAN, NGRAM, iterations=MAX_BOOTSTRAP_ITERATIONS + 1)
+        # the bound itself passes; only the check runs, so nothing is drawn
+        check_iterations(MAX_BOOTSTRAP_ITERATIONS)
 
     def test_requires_judgments(self):
         with pytest.raises(ValueError, match="no judgments"):

@@ -12,8 +12,10 @@ from plainterm.ngram_lm import (
     START,
     STOP,
     UNK,
+    MAX_ORDER,
     LookupScorer,
     NgramModel,
+    check_train_settings,
     load_arpa,
     load_scorer,
     save_arpa,
@@ -128,6 +130,12 @@ class TestModelInvariants:
             train(["a"], discount=1.0)
         with pytest.raises(ValueError, match="min_count"):
             train(["a"], min_count=0)
+
+    def test_order_is_bounded_before_any_padding(self):
+        with pytest.raises(ValueError, match=rf"order must be in \[1, {MAX_ORDER}\], got {MAX_ORDER + 1}"):
+            train(["a"], order=MAX_ORDER + 1)
+        # the bound itself passes; only the check runs, so nothing is trained
+        check_train_settings(MAX_ORDER, 0.75, 1)
         with pytest.raises(ValueError, match="no training data"):
             train(["", "   "])
 

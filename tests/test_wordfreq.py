@@ -19,11 +19,12 @@ class TestLoadTable:
         table = load_table(io.StringIO("# freq\n\nfever\t0.01\n"))
         assert table.probs == {"fever": 0.01}
 
-    def test_duplicate_last_wins(self, caplog):
-        with caplog.at_level("WARNING"):
-            table = load_table(io.StringIO("fever\t0.01\nfever\t0.02\n"))
-        assert table.probs["fever"] == 0.02
-        assert "duplicate" in caplog.text
+    def test_duplicate_word_is_an_error(self):
+        with pytest.raises(ValueError, match="line 2: duplicate word 'fever'"):
+            load_table(io.StringIO("fever\t0.01\nfever\t0.02\n"))
+        # keys are lowercased, so a word may not repeat in another case either
+        with pytest.raises(ValueError, match="line 3: duplicate word 'fever'"):
+            load_table(io.StringIO("Fever\t0.5\n# comment\nfever\t0.001\n"))
 
     def test_probability_out_of_range(self):
         with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
