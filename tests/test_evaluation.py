@@ -262,8 +262,6 @@ class TestSignificance:
     def test_iteration_floor(self):
         with pytest.raises(ValueError, match="iterations"):
             sg_significance(HUMAN, NGRAM, iterations=10)
-
-    def test_iterations_are_bounded_before_any_draw(self):
         # one past the bound is refused before numpy allocates anything
         with pytest.raises(ValueError, match=rf"got {MAX_BOOTSTRAP_ITERATIONS + 1}"):
             sg_significance(HUMAN, NGRAM, iterations=MAX_BOOTSTRAP_ITERATIONS + 1)

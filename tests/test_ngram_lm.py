@@ -130,8 +130,7 @@ class TestModelInvariants:
             train(["a"], discount=1.0)
         with pytest.raises(ValueError, match="min_count"):
             train(["a"], min_count=0)
-
-    def test_order_is_bounded_before_any_padding(self):
+        # the order is bounded before any sentence is padded
         with pytest.raises(ValueError, match=rf"order must be in \[1, {MAX_ORDER}\], got {MAX_ORDER + 1}"):
             train(["a"], order=MAX_ORDER + 1)
         # the bound itself passes; only the check runs, so nothing is trained
