@@ -292,8 +292,7 @@ def sg_significance(
     Each system's judgment multiset is resampled with replacement (as a
     multinomial over its category proportions) `iterations` times; the p-value
     is twice the smaller tail of the resampled difference around zero, with an
-    add-one correction so it is never exactly 0. iterations is checked by
-    check_iterations before anything is drawn.
+    add-one correction so it is never exactly 0.
     """
     check_iterations(iterations)
     if a.total == 0 or b.total == 0:
