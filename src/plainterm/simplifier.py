@@ -138,8 +138,8 @@ class ScoreMemo:
         self.bases: dict[tuple[str, ...], list[float]] = {}
         self.tokens: dict[str, list[Token]] = {}
         self.spans: dict[tuple[str, ...], list[Span]] = {}
-        # (norms, start, end) -> the span's candidates
-        self.ranked: dict[tuple[tuple[str, ...], int, int], tuple[Candidate, ...]] = {}
+        # (norms, start, end) -> (term, sentence, lm, wf) of each label in the span's group
+        self.ranked: dict[tuple[tuple[str, ...], int, int], list[tuple[Label, tuple[str, ...], float, float]]] = {}
 
     def score_splice(
         self, norms: tuple[str, ...], start: int, end: int, label: Sequence[str]
@@ -175,37 +175,28 @@ def rank_span(
     span: Span,
     memo: ScoreMemo,
     alpha: float,
-) -> tuple[Label, list[Candidate]]:
+) -> tuple[Label, tuple[Candidate, ...]]:
     """Score every alternative for one span and pick the best term.
 
     norms are the lowercased tokens of the pass input. The alternatives are
     the labels of the span's group in the memo's phrase table. The language
     model scores the full sentence with the alternative spliced in, through
-    ScoreMemo.score_splice; the frequency score sees the bare term. Combined
-    score is alpha * lm + (1 - alpha) * wf.
-    The memo keeps each span's candidates, keyed by the pass input and the
-    span, so a later call for the same span at another alpha recomputes only
-    the combined scores.
+    ScoreMemo.score_splice; the frequency score sees the bare term. The memo
+    keeps these alpha-free scores per pass input and span, so a later call at
+    another alpha scores nothing. Combined score is alpha * lm + (1 - alpha) * wf,
+    computed here on every call and nowhere else.
     Ties go to the higher lm score, then to the lexicographically smallest
     term. The matched text is itself a group label, so keeping it is one of
     the candidates and a span is only rewritten when an alternative beats it.
     """
     key = (norms, span.start, span.end)
-    ranked = memo.ranked.get(key)
-    if ranked is None:
-        candidates: list[Candidate] = []
+    scored = memo.ranked.get(key)
+    if scored is None:
+        scored = memo.ranked[key] = []
         for label in memo.table.group(span.group_id).labels:
             sent, lm_score = memo.score_splice(norms, span.start, span.end, label)
-            wf_score = wf(label, memo.freq)
-            combined = alpha * lm_score + (1.0 - alpha) * wf_score
-            candidates.append(Candidate(label, sent, lm_score, wf_score, combined))
-        memo.ranked[key] = tuple(candidates)
-    else:
-        candidates = [
-            Candidate(c.term, c.candidate_sentence, c.lm_score, c.wf_score,
-                      alpha * c.lm_score + (1.0 - alpha) * c.wf_score)
-            for c in ranked
-        ]
+            scored.append((label, sent, lm_score, wf(label, memo.freq)))
+    candidates = tuple([Candidate(t, s, lm, w, alpha * lm + (1.0 - alpha) * w) for t, s, lm, w in scored])
     # labels are stored sorted and max keeps the first of equal keys, so the
     # smallest term wins ties
     best = max(candidates, key=lambda c: (c.combined, c.lm_score))
@@ -231,7 +222,7 @@ def simplify_once(
     for span in spans:
         chosen, candidates = rank_span(norms, span, memo, config.alpha)
         if chosen != span.matched:
-            replacements.append(Replacement(span, chosen, tuple(candidates)))
+            replacements.append(Replacement(span, chosen, candidates))
     out = list(tokens)
     for rep in reversed(replacements):
         words = list(rep.chosen)
