@@ -191,8 +191,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
         # the curve prints alpha to 2 decimals, so a finer point would print as its neighbour
         if round(alpha, 2) != alpha:
             raise UsageError(f"grid point {alpha!r} has more than 2 decimals")
+    pairs = []
     with open_text(args.dev) as fh:
-        pairs = [(source, reference) for _, (source, reference) in rows(fh, 2)]
+        for line_no, (source, reference) in rows(fh, 2):
+            # a blank source simplifies to a blank output, which SARI cannot score;
+            # refuse it here, before any model loads
+            if not source.split():
+                raise ValueError(f"line {line_no}: empty source")
+            pairs.append((source, reference))
     table, lm, freq = _load_models(args)
     best_alpha, curve = evaluation.grid_search_alpha(
         pairs, table, lm, freq, grid=grid, max_iterations=args.max_iterations

@@ -232,12 +232,21 @@ def sari(source: str, output: str, references: Sequence[str]) -> float:
 
 
 def mean_sari(sources: Sequence[str], outputs: Sequence[str], references: Sequence[str]) -> float:
-    """Mean sentence SARI over parallel lines, one reference per line, summed by math.fsum."""
+    """Mean sentence SARI over parallel lines, one reference per line, summed by math.fsum.
+
+    A pair that SARI cannot score raises its ValueError prefixed with the
+    pair's 1-based line.
+    """
     if not (len(sources) == len(outputs) == len(references)):
         raise ValueError("sources, outputs and references must have the same number of lines")
     if not outputs:
         raise ValueError("no sentences to score")
-    scores = [sari(source, output, [ref]) for source, output, ref in zip(sources, outputs, references)]
+    scores = []
+    for line_no, (source, output, ref) in enumerate(zip(sources, outputs, references), start=1):
+        try:
+            scores.append(sari(source, output, [ref]))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     return math.fsum(scores) / len(scores)
 
 

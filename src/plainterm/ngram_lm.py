@@ -177,10 +177,15 @@ def train(
     turned into probabilities before the next order is counted.
     """
     check_train_settings(order, discount, min_count)
-    sentences = [words for line in corpus if (words := line.split())]
+    sentences = [line.split() for line in corpus]
     raw_counts: Counter[str] = Counter()
     for words in sentences:
         raw_counts.update(words)
+    # a corpus <s> would count as a predicted word, which the model never predicts
+    if START in raw_counts:
+        line_no = next(n for n, words in enumerate(sentences, start=1) if START in words)
+        raise ValueError(f"line {line_no}: corpus contains the start symbol {START!r}")
+    sentences = [words for words in sentences if words]
     if not sentences:
         raise ValueError("no training data")
 

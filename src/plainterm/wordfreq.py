@@ -28,6 +28,9 @@ def load_table(stream: IO[str] | Iterable[str]) -> FrequencyTable:
         word = cols[0].strip().lower()
         if not word:
             raise ValueError(f"line {line_no}: empty word")
+        # wf looks up one word at a time, so a word with a space in it is never read
+        if len(word.split()) > 1:
+            raise ValueError(f"line {line_no}: word contains whitespace")
         try:
             prob = float(cols[1])
         except ValueError:

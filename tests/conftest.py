@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 from hypothesis import settings
 
-from plainterm.evaluation import default_alpha_grid
 from plainterm.ngram_lm import LookupScorer
 from plainterm.ontology import PhraseTable, read_table
 from plainterm.simplifier import SimplifierConfig, simplify
@@ -41,12 +40,12 @@ class ConstantScorer:
         return self.value
 
 
-def grid_results(pairs, table, lm, freq):
-    """simplify(...).to_dict() of every dev source at every default grid point,
-    in grid_search_alpha's order; pass a ScoreMemo to share it across them all."""
+def grid_results(pairs, table, lm, freq, grid):
+    """simplify(...).to_dict() of every dev source at every point of grid, in
+    grid_search_alpha's order; pass a ScoreMemo to share it across them all."""
     return [
         simplify(source, table, lm, freq, SimplifierConfig(alpha=alpha)).to_dict()
-        for alpha in default_alpha_grid()
+        for alpha in grid
         for source, _ in pairs
     ]
 

@@ -70,8 +70,8 @@ def test_tiny_run_matches_recorded_digests(bench, tmp_path, workload):
 
 
 def test_tiny_dev_set_gives_the_same_results_through_a_shared_memo(bench, tmp_path, over_grid):
-    """Every simplify result over the default grid, and the grid search's curve, on
-    the seed-5 tiny tune-grid inputs."""
+    """Every simplify result over the default grid walked both ways, and the grid
+    search's curve, on the seed-5 tiny tune-grid inputs."""
     _, worker = bench
     worker.prepare("tune-grid", str(tmp_path), 5, "tiny")
     with open(tmp_path / "table.tsv", encoding="utf-8") as fh:
@@ -81,10 +81,12 @@ def test_tiny_dev_set_gives_the_same_results_through_a_shared_memo(bench, tmp_pa
     lm = load_scorer(str(tmp_path / "lm.arpa"))
     with open(tmp_path / "dev.tsv", encoding="utf-8") as fh:
         pairs = [tuple(line.rstrip("\n").split("\t")) for line in fh]
-    shared = over_grid(pairs, table, simplifier.ScoreMemo(lm, table, freq), freq)
-    fresh = over_grid(pairs, table, lm, freq)
-    assert shared == fresh
-    assert repr(shared) == repr(fresh)
+    # walked both ways, a shared memo first sees alpha 0.0 in one and 1.0 in the other
+    for grid in (evaluation.default_alpha_grid(), evaluation.default_alpha_grid()[::-1]):
+        shared = over_grid(pairs, table, simplifier.ScoreMemo(lm, table, freq), freq, grid)
+        fresh = over_grid(pairs, table, lm, freq, grid)
+        assert shared == fresh
+        assert repr(shared) == repr(fresh)
     scores = (
         [69.0282329756014] * 14 + [65.9534163042935] * 4 + [64.14345428234317] * 2
         + [57.73362183084405] * 2 + [57.40837865837866] * 7

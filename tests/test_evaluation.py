@@ -20,6 +20,7 @@ from plainterm.evaluation import (
     grid_search_alpha,
     load_judgments,
     load_unchanged,
+    mean_sari,
     sari,
     sari_components,
     sg_significance,
@@ -149,6 +150,9 @@ class TestSari:
     def test_rejects_fully_empty_pair(self):
         with pytest.raises(ValueError, match="both empty"):
             sari("", "", ["a"])
+        # the mean names the line of the pair it could not score
+        with pytest.raises(ValueError, match="^line 2: source and output are both empty$"):
+            mean_sari(["a b", " "], ["a", ""], ["a", "b"])
 
     def test_matches_oracle_on_random_cases(self):
         rng = random.Random(404)
@@ -330,10 +334,12 @@ class TestGridSearch:
 
     def test_a_shared_memo_gives_what_a_fresh_memo_per_call_gives(self, tune, over_grid):
         pairs, table, lm, freq = tune
-        shared = over_grid(pairs, table, ScoreMemo(lm, table, freq), freq)
-        fresh = over_grid(pairs, table, lm, freq)
-        assert shared == fresh
-        assert repr(shared) == repr(fresh)
+        # walked both ways, a shared memo first sees alpha 0.0 in one and 1.0 in the other
+        for grid in (default_alpha_grid(), default_alpha_grid()[::-1]):
+            shared = over_grid(pairs, table, ScoreMemo(lm, table, freq), freq, grid)
+            fresh = over_grid(pairs, table, lm, freq, grid)
+            assert shared == fresh
+            assert repr(shared) == repr(fresh)
 
     def test_each_distinct_sentence_scored_once_across_the_grid(self, tune, counting):
         pairs, table, lm, freq = tune

@@ -87,6 +87,15 @@ class TestModelInvariants:
             for ctx in contexts:
                 assert context_sums_to_one(model, ctx) == pytest.approx(1.0, abs=1e-9)
 
+    def test_start_symbol_in_corpus_is_an_error(self):
+        # a corpus <s> would take probability mass from the words the model predicts
+        with pytest.raises(ValueError, match=r"^line 3: corpus contains the start symbol '<s>'$"):
+            train(["the cat", "", "the <s> cat", "<s>"], order=2, min_count=1)
+        # the other symbols are predicted words, so mid-sentence they leave every sum at 1
+        model = train([f"the {STOP} cat {UNK}", "the cat sat"], order=2, min_count=1)
+        for ctx in {()} | set(model.backoffs):
+            assert context_sums_to_one(model, ctx) == pytest.approx(1.0, abs=1e-9)
+
     def test_unseen_context_backs_off_cleanly(self):
         model = train(["a b", "b a"], order=3, discount=0.5, min_count=1)
         # a context never observed contributes no backoff penalty

@@ -26,6 +26,11 @@ class TestLoadTable:
         with pytest.raises(ValueError, match="line 3: duplicate word 'fever'"):
             load_table(io.StringIO("Fever\t0.5\n# comment\nfever\t0.001\n"))
 
+    def test_word_with_whitespace_is_an_error(self):
+        # wf looks up single words, so this row could never be read
+        with pytest.raises(ValueError, match="^line 2: word contains whitespace$"):
+            load_table(io.StringIO("fever\t0.01\nheart attack\t0.1\n"))
+
     def test_probability_out_of_range(self):
         with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
             load_table(io.StringIO("fever\t0.0\n"))
