@@ -114,7 +114,7 @@ class SimplificationResult:
 
 
 class ScoreMemo:
-    """Keeps what simplification computes that does not depend on alpha.
+    """Keeps what simplification computes that does not depend on alpha, and nothing else.
 
     A memo is bound to one scorer, one phrase table and one frequency table.
     It asks the scorer once per distinct sentence and keeps every score.
@@ -122,9 +122,10 @@ class ScoreMemo:
     each sentence it splices into, so a splice rescores only the positions
     it changed. It keeps the tokens of each input sentence (simplify), the
     spans of each distinct pass input, keyed by its norms (simplify_once),
-    and each span's scored candidates, keyed by pass input and span
-    (rank_span). Only the combined score and its argmax depend on alpha, so
-    grid_search_alpha shares one memo across its whole grid.
+    and the term, spliced sentence, lm and wf score of each label of each
+    span, keyed by pass input and span (rank_span). Only the combined score,
+    which rank_span computes on every call, and its argmax depend on alpha,
+    so grid_search_alpha shares one memo across its whole grid.
 
     It keeps everything it has seen, so make one per call that simplifies
     many overlapping sentences and let it go when that call returns.
@@ -250,7 +251,8 @@ def simplify(
     and rescores only each candidate's changed window (see
     ScoreMemo.score_splice). A ScoreMemo passed in keeps all of it for later
     calls; it must be bound to this table and this frequency table, or
-    ValueError is raised.
+    ValueError is raised. The memo holds only alpha-free values, so one memo
+    serves every alpha; rank_span computes the combined score on each call.
     """
     if isinstance(lm, ScoreMemo):
         memo = lm
