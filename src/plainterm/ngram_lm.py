@@ -171,8 +171,8 @@ def train(
     """Train an interpolated absolute-discounting model from one sentence per line.
 
     Words seen fewer than min_count times are replaced by the unknown symbol
-    before counting. Each sentence is padded with order-1 start symbols and one
-    end symbol. Each order counts the k-grams that end on a predicted
+    before counting. Each sentence is padded with order-1 start symbols, which
+    the corpus may not contain itself, and one end symbol. Each order counts the k-grams that end on a predicted
     position, so lower-order distributions come from the same events, and is
     turned into probabilities before the next order is counted.
     """

@@ -22,7 +22,7 @@ class FrequencyTable:
 
 
 def load_table(stream: IO[str] | Iterable[str]) -> FrequencyTable:
-    """Load word<TAB>probability rows; keys are lowercased, and a word may appear once."""
+    """Load word<TAB>probability rows; a word is lowercased, holds no whitespace and may appear once."""
     probs: dict[str, float] = {}
     for line_no, cols in rows(stream, 2):
         word = cols[0].strip().lower()
