@@ -270,29 +270,30 @@ def save_arpa(model: NgramModel, stream: IO[str]) -> None:
     stream.write("\n\\end\\\n")
 
 
-def _arpa_lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str, str]]:
-    """Yield (line_no, line, stripped) for each non-blank line, then (last + 1, "", "") at the end."""
-    line_no = 0
-    for line_no, raw in enumerate(stream, start=1):
+def _next_line(numbered: Iterator[tuple[int, str]], line_no: int) -> tuple[int, str, str]:
+    """(line_no, line, stripped) of the next non-blank line, or (last + 1, "", "") at the end."""
+    for line_no, raw in numbered:
         line = raw.rstrip("\r\n")
         stripped = line.strip()
         if stripped:
-            yield line_no, line, stripped
-    yield line_no + 1, "", ""
+            return line_no, line, stripped
+    return line_no + 1, "", ""
 
 
 def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
     """Parse an ARPA file back into a model; errors name the offending line.
 
     Reads the stream once. Blank lines are ignored anywhere, every value must
-    be finite, and an n-gram may not repeat within its section.
+    be finite, and an n-gram may not repeat within its section. All n-grams
+    that hold a word hold the same str object for it.
     """
-    lines = _arpa_lines(stream)
-    line_no, _, stripped = next(lines)
+    numbered = enumerate(stream, start=1)
+    line_no, _, stripped = _next_line(numbered, 0)
     if stripped != "\\data\\":
         raise ValueError(f"line {line_no}: missing \\data\\ header")
     declared: dict[int, int] = {}
-    for line_no, line, stripped in lines:
+    while True:
+        line_no, line, stripped = _next_line(numbered, line_no)
         if not stripped.startswith("ngram "):
             break
         try:
@@ -310,28 +311,39 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
 
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
+    # one str per distinct word; after the 1-gram section its keys are the vocabulary
+    words: dict[str, str] = {}
+    pooled = words.setdefault
     for k in range(1, max_order + 1):
         header = f"\\{k}-grams:"
         if stripped != header:
             raise ValueError(f"line {line_no}: expected {header} section")
-        seen = 0
-        # the end-of-input line is empty, so it ends the last section too
-        for line_no, line, stripped in lines:
-            if not stripped or stripped.startswith("\\"):
-                break
+        before = len(probs)
+        for line_no, raw in numbered:
+            line = raw.rstrip("\r\n")
             fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise ValueError(f"line {line_no}: malformed entry, expected 2 or 3 tab-separated fields")
             try:
                 log10_prob = float(fields[0])
             except ValueError:
-                raise ValueError(f"line {line_no}: bad log probability {fields[0]!r}") from None
+                # a number is never blank and never starts with a backslash,
+                # so only a line that is not one can end the section
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                if stripped.startswith("\\"):
+                    break
+                log10_prob = None
+            if len(fields) not in (2, 3):
+                raise ValueError(f"line {line_no}: malformed entry, expected 2 or 3 tab-separated fields")
+            if log10_prob is None:
+                raise ValueError(f"line {line_no}: bad log probability {fields[0]!r}")
             # NaN compares false both ways, so it would win or lose a ranking silently
             if not -math.inf < log10_prob < math.inf:
                 raise ValueError(f"line {line_no}: log probability must be finite, got {fields[0]!r}")
-            gram = tuple(fields[1].split(" "))
+            gram = fields[1].split(" ")
             if len(gram) != k or not all(gram):
                 raise ValueError(f"line {line_no}: expected a {k}-gram, got {fields[1]!r}")
+            gram = tuple(map(pooled, gram, gram))
             prob = log10_prob * _LN10
             if probs.setdefault(gram, prob) is not prob:
                 raise ValueError(f"line {line_no}: duplicate {k}-gram {fields[1]!r}")
@@ -343,15 +355,18 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
                 if not -math.inf < log10_backoff < math.inf:
                     raise ValueError(f"line {line_no}: backoff weight must be finite, got {fields[2]!r}")
                 backoffs[gram] = log10_backoff * _LN10
-            seen += 1
+        else:
+            # the end of input ends the last section too
+            line_no, stripped = line_no + 1, ""
+        seen = len(probs) - before
         if seen != declared[k]:
             raise ValueError(
                 f"line {line_no}: {k}-gram count mismatch, header declares {declared[k]} but section has {seen}"
             )
+        if k == 1:
+            vocab = frozenset(words)
     if stripped != "\\end\\":
         raise ValueError(f"line {line_no}: missing \\end\\ terminator")
-
-    vocab = frozenset(gram[0] for gram in probs if len(gram) == 1)
     return NgramModel(max_order, probs, backoffs, vocab)
 
 

@@ -214,19 +214,23 @@ def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
     Labels are normalized as PhraseTable.from_groups does (lowercased,
     punctuation split off), so a hand-written label can match. A label may
     repeat within its group but not across groups, and every group needs two
-    distinct labels; errors name the offending line.
+    distinct labels; errors name the offending line. All labels that hold a
+    word hold the same str object for it.
     """
     # label -> line of its first row, per group
     labels_by_group: dict[int, dict[Label, int]] = defaultdict(dict)
     group_of: dict[Label, int] = {}
+    # one str per distinct word
+    pooled = {}.setdefault
     for line_no, cols in rows(stream, 2):
         try:
             group_id = int(cols[0])
         except ValueError:
             raise ValueError(f"line {line_no}: bad group id {cols[0]!r}") from None
-        label = normalize_label(cols[1])
-        if not label:
+        words = normalize_label(cols[1])
+        if not words:
             raise ValueError(f"line {line_no}: empty label")
+        label = tuple(map(pooled, words, words))
         if group_of.setdefault(label, group_id) != group_id:
             raise ValueError(
                 f"line {line_no}: label {' '.join(label)!r} appears in more than one group"
