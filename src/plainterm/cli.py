@@ -198,6 +198,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
             # refuse it here, before any model loads
             if not source.split():
                 raise ValueError(f"line {line_no}: empty source")
+            if not reference.split():
+                raise ValueError(f"line {line_no}: empty reference")
             pairs.append((source, reference))
     table, lm, freq = _load_models(args)
     best_alpha, curve = evaluation.grid_search_alpha(
@@ -319,6 +321,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

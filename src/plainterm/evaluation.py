@@ -215,6 +215,9 @@ def sari_components(source: str, output: str, references: Sequence[str]) -> tupl
     if not src and not out:
         raise ValueError("source and output are both empty")
     refs = [r.lower().split() for r in references]
+    # a blank reference would score every kept word as a miss, rewarding rewrites
+    if not all(refs):
+        raise ValueError("empty reference")
     keep_sum = del_sum = add_sum = 0.0
     for n in range(1, 5):
         keep, delete, add = _sari_ngram(src, out, refs, n)

@@ -177,7 +177,9 @@ def train(
     turned into probabilities before the next order is counted.
     """
     check_train_settings(order, discount, min_count)
-    sentences = [line.split() for line in corpus]
+    # one str per distinct word, so every n-gram that holds a word shares it
+    pooled = {STOP: STOP, UNK: UNK}.setdefault
+    sentences = [list(map(pooled, words, words)) for words in map(str.split, corpus)]
     raw_counts: Counter[str] = Counter()
     for words in sentences:
         raw_counts.update(words)

@@ -220,7 +220,6 @@ def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
     # label -> line of its first row, per group
     labels_by_group: dict[int, dict[Label, int]] = defaultdict(dict)
     group_of: dict[Label, int] = {}
-    # one str per distinct word
     pooled = {}.setdefault
     for line_no, cols in rows(stream, 2):
         try:

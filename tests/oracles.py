@@ -314,3 +314,93 @@ def frozen_train(corpus, order=3, discount=0.75, min_count=2):
                 probs[ctx] = placeholder
 
     return order, probs, backoffs, frozenset(vocab)
+
+
+_FROZEN_LN10 = math.log(10.0)
+
+
+def _frozen_arpa_lines(stream):
+    """Yield (line_no, line, stripped) for each non-blank line, then (last + 1, "", "") at the end."""
+    line_no = 0
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        stripped = line.strip()
+        if stripped:
+            yield line_no, line, stripped
+    yield line_no + 1, "", ""
+
+
+def frozen_load_arpa(stream):
+    """The (order, probs, backoffs, vocab) of an ARPA file, read through a
+    generator of non-blank lines that strips every line; errors name the
+    offending line.
+
+    Reads the stream once. Blank lines are ignored anywhere, every value must
+    be finite, and an n-gram may not repeat within its section.
+    """
+    lines = _frozen_arpa_lines(stream)
+    line_no, _, stripped = next(lines)
+    if stripped != "\\data\\":
+        raise ValueError(f"line {line_no}: missing \\data\\ header")
+    declared: dict[int, int] = {}
+    for line_no, line, stripped in lines:
+        if not stripped.startswith("ngram "):
+            break
+        try:
+            order_text, count_text = stripped[len("ngram ") :].split("=", 1)
+            declared[int(order_text)] = int(count_text)
+        except ValueError:
+            raise ValueError(f"line {line_no}: bad ngram count declaration {line!r}") from None
+        last_declaration = line_no
+    if not declared:
+        raise ValueError(f"line {line_no}: no ngram counts declared")
+    max_order = max(declared)
+    # distinct orders, all >= 1 and as many as the largest: exactly 1..N
+    if min(declared) < 1 or len(declared) != max_order:
+        raise ValueError(f"line {last_declaration}: ngram count declarations must cover orders 1..N")
+
+    probs: dict[tuple[str, ...], float] = {}
+    backoffs: dict[tuple[str, ...], float] = {}
+    for k in range(1, max_order + 1):
+        header = f"\\{k}-grams:"
+        if stripped != header:
+            raise ValueError(f"line {line_no}: expected {header} section")
+        seen = 0
+        # the end-of-input line is empty, so it ends the last section too
+        for line_no, line, stripped in lines:
+            if not stripped or stripped.startswith("\\"):
+                break
+            fields = line.split("\t")
+            if len(fields) not in (2, 3):
+                raise ValueError(f"line {line_no}: malformed entry, expected 2 or 3 tab-separated fields")
+            try:
+                log10_prob = float(fields[0])
+            except ValueError:
+                raise ValueError(f"line {line_no}: bad log probability {fields[0]!r}") from None
+            # NaN compares false both ways, so it would win or lose a ranking silently
+            if not -math.inf < log10_prob < math.inf:
+                raise ValueError(f"line {line_no}: log probability must be finite, got {fields[0]!r}")
+            gram = tuple(fields[1].split(" "))
+            if len(gram) != k or not all(gram):
+                raise ValueError(f"line {line_no}: expected a {k}-gram, got {fields[1]!r}")
+            prob = log10_prob * _FROZEN_LN10
+            if probs.setdefault(gram, prob) is not prob:
+                raise ValueError(f"line {line_no}: duplicate {k}-gram {fields[1]!r}")
+            if len(fields) == 3:
+                try:
+                    log10_backoff = float(fields[2])
+                except ValueError:
+                    raise ValueError(f"line {line_no}: bad backoff weight {fields[2]!r}") from None
+                if not -math.inf < log10_backoff < math.inf:
+                    raise ValueError(f"line {line_no}: backoff weight must be finite, got {fields[2]!r}")
+                backoffs[gram] = log10_backoff * _FROZEN_LN10
+            seen += 1
+        if seen != declared[k]:
+            raise ValueError(
+                f"line {line_no}: {k}-gram count mismatch, header declares {declared[k]} but section has {seen}"
+            )
+    if stripped != "\\end\\":
+        raise ValueError(f"line {line_no}: missing \\end\\ terminator")
+
+    vocab = frozenset(gram[0] for gram in probs if len(gram) == 1)
+    return max_order, probs, backoffs, vocab

@@ -403,6 +403,14 @@ class TestEntryPoints:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_out_of_memory_ends_in_one_line(self, data_dir, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(plainterm.cli, "cmd_build_table", exhausted)
+        assert run(["build-table", str(data_dir / "otalgia_ontology.tsv")]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def python(self, *args):
         # the child process runs the package these tests import, installed or not
         src = str(pathlib.Path(plainterm.__file__).parents[1])

@@ -25,7 +25,7 @@ from plainterm.ontology import PhraseTable
 from plainterm.simplifier import ScoreMemo
 from plainterm.wordfreq import FrequencyTable
 
-from oracles import frozen_save_arpa, frozen_train
+from oracles import frozen_load_arpa, frozen_save_arpa, frozen_train
 
 LN10 = math.log(10.0)
 
@@ -294,6 +294,84 @@ def test_train_equals_frozen_all_orders_at_once_counting(corpus, order, discount
     save_arpa(model, buf)
     save_arpa(frozen, expected)
     assert buf.getvalue() == expected.getvalue()
+
+
+# words of several letters: CPython already keeps one object per 1-character string
+SHARED_WORDS_CORPUS = ["heart attack and heart failure", "the heart attack", "failure of the heart </s>"]
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["train", "load_arpa"])
+def test_every_ngram_holds_one_str_per_word(loaded):
+    model = train(SHARED_WORDS_CORPUS, order=3, min_count=1)
+    if loaded:
+        buf = io.StringIO()
+        save_arpa(model, buf)
+        model = load_arpa(io.StringIO(buf.getvalue()))
+    canon = {}
+    keys = [*model.probs, *model.backoffs, *((w,) for w in model.vocab)]
+    assert all(canon.setdefault(w, w) is w for key in keys for w in key)
+
+
+ARPA_MUTATIONS = (
+    "blank", "spaces", "space-tab", "crlf", "four-fields", "nan", "duplicate", "stray", "no-end", "cut",
+)
+
+
+def mutate_arpa(lines, kind, at):
+    """lines with one change of the given kind, placed by at."""
+    entries = [i for i, line in enumerate(lines) if "\t" in line]
+    if kind in ("blank", "spaces", "space-tab"):
+        filler = {"blank": "\n", "spaces": "   \n", "space-tab": " \t \n"}[kind]
+        return lines[: at % (len(lines) + 1)] + [filler] + lines[at % (len(lines) + 1) :]
+    if kind == "crlf":
+        return [line[:-1] + "\r\n" if line.endswith("\n") else line for line in lines]
+    if kind == "no-end":
+        return [line for line in lines if line.strip() != "\\end\\"]
+    if kind == "cut":
+        return lines[: at % (len(lines) + 1)]
+    if not entries:
+        return lines
+    i = entries[at % len(entries)]
+    fields = lines[i].rstrip("\r\n").split("\t")
+    if kind == "four-fields":
+        changed = "\t".join(fields + ["-0.5"] * (4 - len(fields))) + "\n"
+    elif kind == "nan":
+        fields[0 if len(fields) == 2 or at % 2 else 2] = "nan"
+        changed = "\t".join(fields) + "\n"
+    elif kind == "duplicate":
+        return lines[: i + 1] + [lines[i]] + lines[i + 1 :]
+    else:  # a stray backslash line before an entry ends its section early
+        return lines[:i] + ["\\x\n"] + lines[i:]
+    return lines[:i] + [changed] + lines[i + 1 :]
+
+
+def load_outcome(load, text):
+    """The model a loader reads, with its dicts in insertion order, or its error message."""
+    try:
+        model = load(io.StringIO(text))
+    except ValueError as exc:
+        return str(exc)
+    return model.order, list(model.probs.items()), list(model.backoffs.items()), model.vocab
+
+
+@given(
+    corpus=st.lists(
+        st.lists(st.sampled_from(["heart", "attack", "of", "the", "failure"]), min_size=1, max_size=5).map(" ".join),
+        min_size=1,
+        max_size=5,
+    ),
+    order=st.integers(1, 3),
+    mutations=st.lists(st.tuples(st.sampled_from(ARPA_MUTATIONS), st.integers(0, 10**6)), min_size=1, max_size=3),
+)
+def test_load_arpa_equals_frozen_loader_on_mutated_text(corpus, order, mutations):
+    buf = io.StringIO()
+    save_arpa(train(corpus, order=order, min_count=1), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for kind, at in mutations:
+        lines = mutate_arpa(lines, kind, at)
+    text = "".join(lines)
+    expected = load_outcome(lambda stream: NgramModel(*frozen_load_arpa(stream)), text)
+    assert load_outcome(load_arpa, text) == expected
 
 
 # "a\x01" sorts after "a" but, joined into a line, before "a b"

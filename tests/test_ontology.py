@@ -205,6 +205,14 @@ class TestPhraseTable:
         spans = extract_spans(tokenize("Heart attack ."), table)
         assert [(s.start, s.end, s.group_id) for s in spans] == [(0, 2, 0)]
 
+    def test_read_labels_hold_one_str_per_word(self):
+        # multi-letter words, read through both normalize_label paths
+        text = "0\theart attack\n0\tmyocardial infarction\n1\tHeart Failure,\n1\tcardiac failure\n"
+        table = read_table(io.StringIO(text))
+        canon = {}
+        labels = [*table.index, *(label for group in table.groups for label in group.labels)]
+        assert all(canon.setdefault(w, w) is w for label in labels for w in label)
+
     def test_read_rejects_bad_group_id(self):
         with pytest.raises(ValueError, match="line 1"):
             read_table(io.StringIO("x\tlabel\n"))
