@@ -319,16 +319,17 @@ ARPA_MUTATIONS = (
 
 def mutate_arpa(lines, kind, at):
     """lines with one change of the given kind, placed by at."""
-    entries = [i for i, line in enumerate(lines) if "\t" in line]
-    if kind in ("blank", "spaces", "space-tab"):
-        filler = {"blank": "\n", "spaces": "   \n", "space-tab": " \t \n"}[kind]
-        return lines[: at % (len(lines) + 1)] + [filler] + lines[at % (len(lines) + 1) :]
+    blanks = {"blank": "\n", "spaces": "   \n", "space-tab": " \t \n"}
+    cut = at % (len(lines) + 1)
+    if kind in blanks:
+        return lines[:cut] + [blanks[kind]] + lines[cut:]
     if kind == "crlf":
         return [line[:-1] + "\r\n" if line.endswith("\n") else line for line in lines]
     if kind == "no-end":
         return [line for line in lines if line.strip() != "\\end\\"]
     if kind == "cut":
-        return lines[: at % (len(lines) + 1)]
+        return lines[:cut]
+    entries = [i for i, line in enumerate(lines) if "\t" in line]
     if not entries:
         return lines
     i = entries[at % len(entries)]
