@@ -257,7 +257,8 @@ def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> f
     """Corpus BLEU in [0, 100] with uniform weights and no smoothing.
 
     Single reference per output; any n-gram level with zero matches zeroes the
-    whole score, as in the original definition.
+    whole score, as in the original definition. An empty output line is
+    allowed; a blank reference raises ValueError naming its 1-based line.
     """
     if len(outputs) != len(references):
         raise ValueError(
@@ -265,8 +266,12 @@ def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> f
         )
     if not outputs:
         raise ValueError("no sentences to score")
-    out_tokens = [o.split() for o in outputs]
     ref_tokens = [r.split() for r in references]
+    # a blank reference matches none of its output's n-grams, so it could only lower the score
+    for line_no, ref_t in enumerate(ref_tokens, start=1):
+        if not ref_t:
+            raise ValueError(f"line {line_no}: empty reference")
+    out_tokens = [o.split() for o in outputs]
     out_len = sum(len(t) for t in out_tokens)
     ref_len = sum(len(t) for t in ref_tokens)
     if out_len == 0:

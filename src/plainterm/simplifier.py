@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from .ngram_lm import LmScorer, NgramModel
 from .ontology import Label, PhraseTable
 from .textproc import Span, Token, detokenize, extract_spans, tokenize
 from .wordfreq import FrequencyTable, wf
+
+_RANK_KEY = attrgetter("combined", "lm_score")
+_NORM = attrgetter("norm")
 
 __all__ = [
     "Candidate",
@@ -29,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One alternative for a span, scored in the context of the whole sentence."""
 
     term: Label
@@ -58,8 +61,7 @@ class SimplifierConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class Replacement:
+class Replacement(NamedTuple):
     """A span that was rewritten, with the full candidate ranking behind it."""
 
     span: Span
@@ -200,7 +202,7 @@ def rank_span(
     candidates = tuple([Candidate(t, s, lm, w, alpha * lm + (1.0 - alpha) * w) for t, s, lm, w in scored])
     # labels are stored sorted and max keeps the first of equal keys, so the
     # smallest term wins ties
-    best = max(candidates, key=lambda c: (c.combined, c.lm_score))
+    best = max(candidates, key=_RANK_KEY)
     return best.term, candidates
 
 
@@ -208,14 +210,17 @@ def simplify_once(
     tokens: Sequence[Token],
     memo: ScoreMemo,
     config: SimplifierConfig,
+    norms: tuple[str, ...] | None = None,
 ) -> tuple[list[Token], list[Replacement]]:
     """Run one pass: rank every span against this pass's input and splice winners.
 
     All spans are ranked against the same input sentence, then applied right to
     left so earlier span offsets stay valid. The memo keeps each distinct pass
-    input's spans, keyed by its norms.
+    input's spans, keyed by its norms. simplify passes in the norms it took
+    for its cycle guard.
     """
-    norms = tuple(t.norm for t in tokens)
+    if norms is None:
+        norms = tuple(map(_NORM, tokens))
     spans = memo.spans.get(norms)
     if spans is None:
         spans = memo.spans[norms] = extract_spans(tokens, memo.table)
@@ -266,17 +271,17 @@ def simplify(
     trace: list[tuple[Replacement, ...]] = []
     iterations = 0
     if tokens:
-        seen = {tuple(t.norm for t in tokens)}
+        norms = tuple(map(_NORM, tokens))
+        seen = {norms}
         for _ in range(config.max_iterations):
-            tokens_next, replacements = simplify_once(tokens, memo, config)
+            tokens, replacements = simplify_once(tokens, memo, config, norms)
             trace.append(tuple(replacements))
             if not replacements:
                 break
             iterations += 1
-            tokens = tokens_next
-            key = tuple(t.norm for t in tokens)
-            if key in seen:
+            norms = tuple(map(_NORM, tokens))
+            if norms in seen:
                 break
-            seen.add(key)
+            seen.add(norms)
     final = detokenize(tokens) if iterations else sentence
     return SimplificationResult(sentence, final, iterations, trace)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import unicodedata
-from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .ontology import PhraseTable
@@ -26,16 +25,14 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A surface token plus its lowercased form used for matching."""
 
     text: str
     norm: str
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A phrase-table hit over the token interval [start, end)."""
 
     start: int
@@ -44,30 +41,25 @@ class Span:
     matched: tuple[str, ...]
 
 
-def _token(text: str) -> Token:
-    return Token(text, text.lower())
-
-
 def tokenize(sentence: str) -> list[Token]:
     """Split on whitespace and peel leading/trailing punctuation into separate tokens.
 
     Interior punctuation (hyphens, decimal points, apostrophes) is left attached,
     so "x-ray" and "3.5" survive as single tokens while "otalgia." becomes two.
     """
-    tokens: list[Token] = []
+    texts: list[str] = []
     for chunk in sentence.split():
         lead = 0
         while lead < len(chunk) and _is_punct(chunk[lead]):
-            tokens.append(_token(chunk[lead]))
+            texts.append(chunk[lead])
             lead += 1
         trail = len(chunk)
         while trail > lead and _is_punct(chunk[trail - 1]):
             trail -= 1
         if trail > lead:
-            tokens.append(_token(chunk[lead:trail]))
-        for i in range(trail, len(chunk)):
-            tokens.append(_token(chunk[i]))
-    return tokens
+            texts.append(chunk[lead:trail])
+        texts.extend(chunk[trail:])
+    return [Token(text, text.lower()) for text in texts]
 
 
 def detokenize(tokens: Iterable[Token]) -> str:

@@ -231,6 +231,12 @@ class TestBleu:
         with pytest.raises(ValueError, match="no sentences"):
             bleu([], [])
 
+    def test_blank_reference_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: empty reference$"):
+            bleu(["a b", "", "c"], ["a b", " \t", ""])
+        # an empty output line is still scored
+        assert bleu(["a b", ""], ["a b", "c"], max_n=1) == pytest.approx(100 * math.exp(1 - 3 / 2), abs=1e-9)
+
     def test_matches_oracle_on_random_cases(self):
         rng = random.Random(77)
         vocab = list("abcdefgh")
@@ -251,7 +257,12 @@ def test_bleu_equals_frozen_slice_counting():
         outputs = [" ".join(rng.choices(vocab, k=rng.randint(0, 9))) for _ in range(n)]
         references = [" ".join(rng.choices(vocab, k=rng.randint(0, 9))) for _ in range(n)]
         max_n = rng.randint(1, 4)
-        assert bleu(outputs, references, max_n) == frozen_bleu(outputs, references, max_n)
+        blank = [line_no for line_no, ref in enumerate(references, start=1) if not ref]
+        if blank:
+            with pytest.raises(ValueError, match=f"^line {blank[0]}: empty reference$"):
+                bleu(outputs, references, max_n)
+        else:
+            assert bleu(outputs, references, max_n) == frozen_bleu(outputs, references, max_n)
 
 
 class TestSignificance:

@@ -11,13 +11,15 @@ import plainterm.simplifier
 from plainterm.ngram_lm import LookupScorer, load_arpa, save_arpa, train
 from plainterm.ontology import PhraseTable, align, normalize_label, parse_records, read_table
 from plainterm.simplifier import (
+    Candidate,
+    Replacement,
     ScoreMemo,
     SimplifierConfig,
     rank_span,
     simplify,
     simplify_once,
 )
-from plainterm.textproc import extract_spans, tokenize
+from plainterm.textproc import Span, Token, extract_spans, tokenize
 from plainterm.wordfreq import EPSILON, FrequencyTable, build_table
 
 
@@ -92,6 +94,29 @@ class TestRankSpan:
         freq = FrequencyTable({})
         chosen, _ = self.rank(alpha=0.5, lm=lm, freq=freq)
         assert chosen == ("big",)
+
+    def test_exact_ties_through_a_shared_memo_at_two_alphas(self):
+        table = PhraseTable.from_groups([["big", "large"], ["ill", "sick"]])
+        # one ulp apart: the lm scores differ, yet every combined score below ties
+        lm = LookupScorer({
+            "a big dog was sick .": -2.0,
+            "a large dog was sick .": math.nextafter(-2.0, 0.0),
+            "a big dog was ill .": -2.0,
+        })
+        freq = FrequencyTable({})
+        tokens = tokenize("a big dog was sick .")
+        norms = tuple(t.norm for t in tokens)
+        big, sick = extract_spans(tokens, table)
+        memo = ScoreMemo(lm, table, freq)
+        for alpha in (0.0, 0.5):
+            chosen, candidates = rank_span(norms, big, memo, alpha)
+            assert candidates[0].combined == candidates[1].combined
+            assert candidates[1].lm_score > candidates[0].lm_score
+            assert chosen == ("large",)
+            chosen, candidates = rank_span(norms, sick, memo, alpha)
+            assert candidates[0].lm_score == candidates[1].lm_score
+            assert candidates[0].combined == candidates[1].combined
+            assert chosen == ("ill",)
 
 
 
@@ -373,6 +398,28 @@ class TestRankingFixture:
         assert len(result.trace[0]) == 1
         assert len(result.trace[0][0].candidates) == 5
 
+
+
+SPAN = Span(1, 2, 0, ("big",))
+CANDIDATE = Candidate(("large",), ("a", "large"), -1.0, -2.5, -1.45)
+RECORDS = [
+    (Token, ("text", "norm"), ("Big", "big")),
+    (Span, ("start", "end", "group_id", "matched"), tuple(SPAN)),
+    (Candidate, ("term", "candidate_sentence", "lm_score", "wf_score", "combined"), tuple(CANDIDATE)),
+    (Replacement, ("span", "chosen", "candidates"), (SPAN, ("large",), (CANDIDATE,))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_pass_records_keep_their_contract(cls, fields, values):
+    record = cls(*values)
+    assert cls._fields == fields
+    assert record == cls(**dict(zip(fields, values))) == values
+    assert hash(record) == hash(values) and record in {cls(*values)}
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
 
 
 class CrcScorer:
