@@ -134,6 +134,9 @@ def _evaluate_judgments(args: argparse.Namespace, out_lines: list[str]) -> None:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _as_usage_error(evaluation.check_replications, args.replications)
     _as_usage_error(evaluation.check_iterations, args.iterations)
+    # numpy refuses a negative seed, but only after the judgments are read
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     have_bleu = bool(args.outputs and args.references)
     have_sari = have_bleu and bool(args.sources)
     have_sg = bool(args.judgments)

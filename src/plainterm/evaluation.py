@@ -27,6 +27,7 @@ __all__ = [
     "simplification_gain",
     "load_judgments",
     "load_unchanged",
+    "MAX_REPLICATIONS",
     "check_replications",
     "aggregate_judgments",
     "sari",
@@ -46,6 +47,9 @@ CATEGORIES = ("S", "F", "E", "N")
 
 # sg_significance draws iterations x 5 int64 per system, 40 MB each at this bound
 MAX_BOOTSTRAP_ITERATIONS = 10**6
+# sg_significance draws a system's judgment total as an int64, which no
+# in-memory list of unchanged pairs can overflow at this bound
+MAX_REPLICATIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -70,9 +74,15 @@ class EvalCounts:
 
 @dataclass(frozen=True)
 class JudgmentRecord:
+    """One judgment; a category outside CATEGORIES raises ValueError when the record is built."""
+
     sentence_id: str
     system_id: str
     category: str
+
+    def __post_init__(self) -> None:
+        if self.category not in CATEGORIES:
+            raise ValueError(f"unknown category {self.category!r}, expected one of {'/'.join(CATEGORIES)}")
 
 
 def simplification_gain(counts: EvalCounts) -> float:
@@ -107,11 +117,10 @@ def load_judgments(stream: IO[str] | Iterable[str]) -> list[JudgmentRecord]:
     for line_no, (sentence_id, system_id, category) in _csv_rows(
         stream, ["sentence_id", "system_id", "category"]
     ):
-        if category not in CATEGORIES:
-            raise ValueError(
-                f"line {line_no}: unknown category {category!r}, expected one of {'/'.join(CATEGORIES)}"
-            )
-        records.append(JudgmentRecord(sentence_id, system_id, category))
+        try:
+            records.append(JudgmentRecord(sentence_id, system_id, category))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     return records
 
 
@@ -122,9 +131,11 @@ def load_unchanged(stream: IO[str] | Iterable[str]) -> list[tuple[str, str]]:
 
 
 def check_replications(replications: int) -> None:
-    """Raise ValueError unless each unchanged pair counts as at least one judgment."""
+    """Raise ValueError unless each unchanged pair counts as 1 to MAX_REPLICATIONS judgments."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
+    if replications > MAX_REPLICATIONS:
+        raise ValueError(f"replications must be <= {MAX_REPLICATIONS}, got {replications}")
 
 
 def aggregate_judgments(
@@ -140,12 +151,7 @@ def aggregate_judgments(
     """
     check_replications(replications)
     tallies: dict[str, Counter[str]] = defaultdict(Counter)
-    for idx, rec in enumerate(records):
-        if rec.category not in CATEGORIES:
-            raise ValueError(
-                f"record {idx} (sentence {rec.sentence_id!r}, system {rec.system_id!r}): "
-                f"unknown category {rec.category!r}"
-            )
+    for rec in records:
         tallies[rec.system_id][rec.category.lower()] += 1
     for _, system_id in unchanged:
         tallies[system_id]["u"] += replications

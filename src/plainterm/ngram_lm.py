@@ -25,6 +25,7 @@ __all__ = [
     "NgramModel",
     "LookupScorer",
     "MAX_ORDER",
+    "MIN_DISCOUNT",
     "check_train_settings",
     "train",
     "save_arpa",
@@ -38,6 +39,10 @@ UNK = "<unk>"
 
 # train pads every sentence with order - 1 start symbols
 MAX_ORDER = 10
+# train gives every order-k probability at least discount**k / N**(k + 1) for
+# N corpus tokens; at this bound that stays a positive float for any corpus
+# that fits in memory, where a subnormal discount can round it to 0
+MIN_DISCOUNT = 1e-12
 
 _LN10 = math.log(10.0)
 # conventional ARPA placeholder for entries that exist only to carry a backoff weight
@@ -158,6 +163,8 @@ def check_train_settings(order: int, discount: float, min_count: int) -> None:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     if not 0.0 < discount < 1.0:
         raise ValueError(f"discount must be in (0, 1), got {discount}")
+    if discount < MIN_DISCOUNT:
+        raise ValueError(f"discount must be at least {MIN_DISCOUNT}, got {discount}")
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
 

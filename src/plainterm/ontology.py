@@ -67,16 +67,16 @@ class PhraseTable:
 
     @classmethod
     def from_groups(cls, label_groups: Iterable[Iterable[str]]) -> "PhraseTable":
-        """Build a table from sets of label strings, normalized and checked as read_table does."""
-        groups = []
-        for gid, raw_labels in enumerate(label_groups):
-            labels = sorted({normalize_label(lab) for lab in raw_labels})
-            if () in labels:
-                raise ValueError(f"group {gid}: empty label")
-            if len(labels) < 2:
-                raise ValueError(f"group {gid} needs at least 2 distinct labels")
-            groups.append(AlternativeGroup(gid, tuple(labels)))
-        return cls(groups)
+        """Build a table from sets of label strings, checked as read_table checks its rows.
+
+        Group ids follow the order of label_groups; each error starts with "group N".
+        """
+        groups = [list(labels) for labels in label_groups]
+        # a read_table group has at least one row, so only here can a group be empty
+        if [] in groups:
+            raise ValueError(f"group {groups.index([])}: no labels")
+        entries = ((gid, gid, text) for gid, labels in enumerate(groups) for text in labels)
+        return cls(_checked_groups(entries, "group"))
 
     def group(self, group_id: int) -> AlternativeGroup:
         return self._by_id[group_id]
@@ -208,39 +208,43 @@ def write_table(table: PhraseTable, stream: IO[str]) -> None:
             stream.write(f"{group.group_id}\t{joined}\n")
 
 
-def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
-    """Read a phrase-table file produced by write_table or written by hand.
+def _checked_groups(entries: Iterable[tuple[int, int | str, str]], place: str) -> list[AlternativeGroup]:
+    """The groups of (where, group id or its text, label text) entries, checked as read_table says.
 
-    Labels are normalized as PhraseTable.from_groups does (lowercased,
-    punctuation split off), so a hand-written label can match. A label may
-    repeat within its group but not across groups, and every group needs two
-    distinct labels; errors name the offending line. All labels that hold a
-    word hold the same str object for it.
+    Each error starts with f"{place} {where}" of the entry at fault.
     """
-    # label -> line of its first row, per group
+    # label -> where of its first entry, per group
     labels_by_group: dict[int, dict[Label, int]] = defaultdict(dict)
     group_of: dict[Label, int] = {}
     pooled = {}.setdefault
-    for line_no, cols in rows(stream, 2):
+    for where, raw_id, text in entries:
         try:
-            group_id = int(cols[0])
+            group_id = int(raw_id)
         except ValueError:
-            raise ValueError(f"line {line_no}: bad group id {cols[0]!r}") from None
-        words = normalize_label(cols[1])
+            raise ValueError(f"{place} {where}: bad group id {raw_id!r}") from None
+        words = normalize_label(text)
         if not words:
-            raise ValueError(f"line {line_no}: empty label")
+            raise ValueError(f"{place} {where}: empty label")
         label = tuple(map(pooled, words, words))
         if group_of.setdefault(label, group_id) != group_id:
-            raise ValueError(
-                f"line {line_no}: label {' '.join(label)!r} appears in more than one group"
-            )
-        labels_by_group[group_id].setdefault(label, line_no)
+            raise ValueError(f"{place} {where}: label {' '.join(label)!r} appears in more than one group")
+        labels_by_group[group_id].setdefault(label, where)
     groups = []
-    for group_id in sorted(labels_by_group):
-        first_lines = labels_by_group[group_id]
-        if len(first_lines) < 2:
-            line_no = next(iter(first_lines.values()))
-            raise ValueError(f"line {line_no}: group {group_id} has fewer than 2 labels")
-        labels = sorted(first_lines)
-        groups.append(AlternativeGroup(group_id, tuple(labels)))
-    return PhraseTable(groups)
+    for group_id, first_wheres in sorted(labels_by_group.items()):
+        if len(first_wheres) < 2:
+            where = next(iter(first_wheres.values()))
+            raise ValueError(f"{place} {where}: group {group_id} has fewer than 2 labels")
+        groups.append(AlternativeGroup(group_id, tuple(sorted(first_wheres))))
+    return groups
+
+
+def read_table(stream: IO[str] | Iterable[str]) -> PhraseTable:
+    """Read a phrase-table file produced by write_table or written by hand.
+
+    Labels are normalized (lowercased, punctuation split off), so a
+    hand-written label can match. A label may repeat within its group but not
+    across groups, and every group needs two distinct labels; each error
+    starts with "line N", the line of the row at fault or of a short group's
+    first row. All labels that hold a word hold the same str object for it.
+    """
+    return PhraseTable(_checked_groups(((line_no, *cols) for line_no, cols in rows(stream, 2)), "line"))

@@ -210,17 +210,15 @@ def simplify_once(
     tokens: Sequence[Token],
     memo: ScoreMemo,
     config: SimplifierConfig,
-    norms: tuple[str, ...] | None = None,
+    norms: tuple[str, ...],
 ) -> tuple[list[Token], list[Replacement]]:
     """Run one pass: rank every span against this pass's input and splice winners.
 
     All spans are ranked against the same input sentence, then applied right to
-    left so earlier span offsets stay valid. The memo keeps each distinct pass
-    input's spans, keyed by its norms. simplify passes in the norms it took
-    for its cycle guard.
+    left so earlier span offsets stay valid. norms are the lowercased tokens,
+    which simplify has already taken for its cycle guard. The memo keeps each
+    distinct pass input's spans, keyed by its norms.
     """
-    if norms is None:
-        norms = tuple(map(_NORM, tokens))
     spans = memo.spans.get(norms)
     if spans is None:
         spans = memo.spans[norms] = extract_spans(tokens, memo.table)

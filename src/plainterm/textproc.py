@@ -121,13 +121,15 @@ def rows(stream: IO[str] | Iterable[str], ncols: int) -> Iterator[tuple[int, lis
 def open_text(path: str, newline: str | None = None) -> Iterator[IO[str]]:
     """Open a UTF-8 text input; a byte that does not decode raises ValueError naming its line.
 
+    A leading byte-order mark is skipped, so it never joins the first row.
+
     The text layer decodes in chunks, so the line a reader had reached when
     the decode failed says nothing about where the bad byte is. Only on that
     failure is the file read again as bytes, split into lines as text mode
     splits them, to find the first line that does not decode.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         with open(path, "rb") as fh:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .textproc import rows
@@ -14,11 +13,8 @@ __all__ = ["FrequencyTable", "load_table", "build_table", "wf"]
 EPSILON = 1e-10
 
 
-@dataclass
-class FrequencyTable:
-    """Relative word frequencies; missing words are treated as probability 0."""
-
-    probs: dict[str, float] = field(default_factory=dict)
+# relative word frequencies by lowercased word; a missing word has probability 0
+FrequencyTable = dict[str, float]
 
 
 def load_table(stream: IO[str] | Iterable[str]) -> FrequencyTable:
@@ -39,7 +35,7 @@ def load_table(stream: IO[str] | Iterable[str]) -> FrequencyTable:
             raise ValueError(f"line {line_no}: probability {prob} outside (0, 1]")
         if probs.setdefault(word, prob) is not prob:
             raise ValueError(f"line {line_no}: duplicate word {word!r}")
-    return FrequencyTable(probs)
+    return probs
 
 
 def build_table(corpus: IO[str] | Iterable[str]) -> FrequencyTable:
@@ -50,7 +46,7 @@ def build_table(corpus: IO[str] | Iterable[str]) -> FrequencyTable:
     total = sum(counts.values())
     if total == 0:
         raise ValueError("empty corpus")
-    return FrequencyTable({w: c / total for w, c in counts.items()})
+    return {w: c / total for w, c in counts.items()}
 
 
 def wf(term: Sequence[str], table: FrequencyTable) -> float:
@@ -62,4 +58,4 @@ def wf(term: Sequence[str], table: FrequencyTable) -> float:
     """
     if not term:
         raise ValueError("empty term")
-    return min(math.log(table.probs.get(w.lower(), 0.0) + EPSILON) for w in term)
+    return min(math.log(table.get(w.lower(), 0.0) + EPSILON) for w in term)

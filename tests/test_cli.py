@@ -1,15 +1,22 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_golden import run_all
 
 import plainterm
 from plainterm.cli import _parse_grid, main
 from plainterm.ngram_lm import load_arpa
 from plainterm.wordfreq import build_table
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -117,7 +124,7 @@ class TestSimplify:
         assert run(["train-lm", str(data_dir / "pipeline_corpus.txt"), "-o", str(arpa)]) == 0
         with open(data_dir / "pipeline_corpus.txt") as fh:
             freq_table = build_table(fh)
-        freq.write_text("".join(f"{w}\t{p!r}\n" for w, p in sorted(freq_table.probs.items())))
+        freq.write_text("".join(f"{w}\t{p!r}\n" for w, p in sorted(freq_table.items())))
         code = run(
             [
                 "simplify",
@@ -348,52 +355,152 @@ class TestTune:
         assert capsys.readouterr().err == f"usage error: alpha must be in [0, 1], got {bad}\n"
 
 
-class TestUndecodableInput:
-    def argv(self, command, data_dir, tmp_path):
-        sentences = tmp_path / "sentences.txt"
-        sentences.write_text("the cat sat .\n")
-        judgments = tmp_path / "judgments.csv"
-        judgments.write_text("s1,a,S\ns2,a,F\n")
-        unchanged = tmp_path / "unchanged.csv"
-        unchanged.write_text("s3,a\n")
-        d = data_dir
-        return {
-            "build-table": ["build-table", d / "otalgia_ontology.tsv"],
-            "train-lm": ["train-lm", d / "pipeline_corpus.txt"],
-            "simplify": [
-                "simplify", "--input", d / "ranking_input.txt", "--table", d / "ranking_table.tsv",
-                "--lm", d / "ranking_lm.tsv", "--freq", d / "ranking_freq.tsv",
-            ],
-            "evaluate": [
-                "evaluate", "--outputs", sentences, "--sources", sentences, "--references", sentences,
-                "--judgments", judgments, "--unchanged", unchanged,
-            ],
-            "tune": [
-                "tune", "--dev", d / "tune_dev.tsv", "--table", d / "tune_table.tsv",
-                "--lm", d / "tune_lm.tsv", "--freq", d / "tune_freq.tsv",
-            ],
-        }[command]
+# every file input of every command: (command, flag), where None is the positional input
+FILE_INPUTS = [
+    ("build-table", None),
+    ("train-lm", None),
+    *(("simplify", flag) for flag in ("--input", "--table", "--lm", "--freq")),
+    *(("evaluate", flag) for flag in ("--outputs", "--sources", "--references", "--judgments", "--unchanged")),
+    *(("tune", flag) for flag in ("--dev", "--table", "--lm", "--freq")),
+]
 
-    @pytest.mark.parametrize(
-        "command, flag",
-        [
-            ("build-table", None),
-            ("train-lm", None),
-            *(("simplify", flag) for flag in ("--input", "--table", "--lm", "--freq")),
-            *(("evaluate", flag) for flag in ("--outputs", "--sources", "--references", "--judgments", "--unchanged")),
-            *(("tune", flag) for flag in ("--dev", "--table", "--lm", "--freq")),
+
+def file_argv(command, tmp_path):
+    """argv that runs command on valid files, each named by its flag in FILE_INPUTS."""
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("the cat sat .\n")
+    # the headers make a leading byte-order mark visible: a misread header is a data row
+    judgments = tmp_path / "judgments.csv"
+    judgments.write_text("sentence_id,system_id,category\ns1,a,S\ns2,a,F\ns1,b,E\n")
+    unchanged = tmp_path / "unchanged.csv"
+    unchanged.write_text("sentence_id,system_id\ns3,a\n")
+    d = DATA
+    argv = {
+        "build-table": ["build-table", d / "otalgia_ontology.tsv"],
+        "train-lm": ["train-lm", d / "pipeline_corpus.txt"],
+        "simplify": [
+            "simplify", "--input", d / "ranking_input.txt", "--table", d / "ranking_table.tsv",
+            "--lm", d / "ranking_lm.tsv", "--freq", d / "ranking_freq.tsv",
         ],
-    )
-    def test_bad_byte_names_its_line(self, data_dir, tmp_path, capsys, command, flag):
+        "evaluate": [
+            "evaluate", "--outputs", sentences, "--sources", sentences, "--references", sentences,
+            "--judgments", judgments, "--unchanged", unchanged,
+        ],
+        "tune": [
+            "tune", "--dev", d / "tune_dev.tsv", "--table", d / "tune_table.tsv",
+            "--lm", d / "tune_lm.tsv", "--freq", d / "tune_freq.tsv",
+        ],
+    }[command]
+    return [str(arg) for arg in argv]
+
+
+def replace_input(argv, flag, path):
+    """Point flag's file input at path; return the path it named before."""
+    at = argv.index(flag) + 1 if flag else 1
+    argv[at], old = str(path), argv[at]
+    return pathlib.Path(old)
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command, flag", FILE_INPUTS)
+    def test_bad_byte_names_its_line(self, tmp_path, capsys, command, flag):
         # every loader skips lines of spaces; 1500 of them put the bad byte
         # past the text layer's first decode chunk, and a lone CR ends a line
         # in text mode as LF does
         bad = tmp_path / "bad.txt"
         bad.write_bytes((b" " * 20 + b"\r") * 750 + (b" " * 20 + b"\n") * 750 + b"\xff\n")
-        argv = self.argv(command, data_dir, tmp_path)
-        argv[argv.index(flag) + 1 if flag else 1] = bad
-        assert run([str(arg) for arg in argv]) == 1
+        argv = file_argv(command, tmp_path)
+        replace_input(argv, flag, bad)
+        assert run(argv) == 1
         assert capsys.readouterr().err == "error: line 1501: not valid UTF-8: invalid start byte\n"
+
+    @pytest.mark.parametrize("command, flag", FILE_INPUTS)
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, command, flag):
+        argv = file_argv(command, tmp_path)
+        assert run(argv) == 0
+        want = capsys.readouterr()
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + replace_input(argv, flag, marked).read_bytes())
+        assert run(argv) == 0
+        assert capsys.readouterr() == want
+
+
+# each command's numeric flags, each with the extreme values its type parses
+INT_EXTREMES = ["-1", "0", "10000000000000000000"]
+FLOAT_EXTREMES = [*INT_EXTREMES, "5e-324", "1e19", "nan", "inf"]
+NUMERIC_FLAGS = {
+    "build-table": {},
+    "train-lm": {"--order": INT_EXTREMES, "--discount": FLOAT_EXTREMES, "--min-count": INT_EXTREMES},
+    "simplify": {"--alpha": FLOAT_EXTREMES, "--max-iterations": INT_EXTREMES},
+    "evaluate": {"--replications": INT_EXTREMES, "--iterations": INT_EXTREMES, "--seed": INT_EXTREMES},
+    "tune": {"--max-iterations": INT_EXTREMES, "--grid": FLOAT_EXTREMES},
+}
+BYTE_VARIANTS = {
+    "as-is": lambda data: data,
+    "bom": lambda data: b"\xef\xbb\xbf" + data,
+    "bad-byte": lambda data: data + b"\xff\n",
+    "cr": lambda data: data.replace(b"\n", b"\r"),
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """(command, flag args, {file flag: byte variant}) with at most two numeric flags set.
+
+    A file flag left out of the variants is read as-is.
+    """
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    numeric = NUMERIC_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(numeric)), max_size=2, unique=True)) if numeric else []
+    flag_args = [arg for flag in chosen for arg in (flag, draw(st.sampled_from(numeric[flag])))]
+    flags = [flag for name, flag in FILE_INPUTS if name == command]
+    variants = {flag: draw(st.sampled_from(sorted(BYTE_VARIANTS))) for flag in flags}
+    return command, flag_args, variants
+
+
+@example(("evaluate", ["--seed", "-1"], {}))
+@example(("evaluate", ["--replications", "10000000000000000000"], {}))
+@example(("train-lm", ["--discount", "5e-324"], {}))
+@given(command_lines())
+def test_every_run_ends_in_one_line(case):
+    """Flags are checked before any file is read, and every run ends in one line of stderr.
+
+    A run is made twice: once with every file input missing, and once with
+    the files in their drawn byte variants. Refused flags must give the same
+    usage error both times. Accepted flags must not fail the second run,
+    which ends in exit 0 unless a file holds an undecodable byte.
+    """
+    command, flag_args, variants = case
+    if command == "evaluate":
+        # the bootstrap p-value is what reads --iterations and --seed
+        flag_args = [*flag_args, "--compare", "a", "b"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        argv = file_argv(command, tmp)
+        missing = list(argv)
+        for number, (name, flag) in enumerate(FILE_INPUTS):
+            if name == command:
+                replace_input(missing, flag, tmp / "missing")
+                path = tmp / f"input{number}"
+                data = replace_input(argv, flag, path).read_bytes()
+                path.write_bytes(BYTE_VARIANTS[variants.get(flag, "as-is")](data))
+        results = run_all({"missing": {"argv": missing + flag_args}, "files": {"argv": argv + flag_args}}, tmp)
+    (first, first_streams), (code, streams) = results["missing"], results["files"]
+    for exit_code, err in ((first, first_streams["stderr"]), (code, streams["stderr"])):
+        assert exit_code in (0, 1, 2)
+        assert "Traceback" not in err
+        # nothing, or one line ended by a newline
+        assert err == "" or (err.count("\n") == 1 and err.endswith("\n"))
+        assert exit_code == 0 or err
+    if first == 2:
+        assert (code, streams["stderr"]) == (2, first_streams["stderr"])
+    else:
+        assert first == 1 and first_streams["stderr"].startswith("error: [Errno 2] No such file")
+        if "bad-byte" in variants.values():
+            assert code == 1 and re.match(r"error: line \d+: not valid UTF-8: ", streams["stderr"])
+        else:
+            assert code == 0, streams["stderr"]
 
 
 class TestEntryPoints:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from plainterm.evaluation import (
     MAX_BOOTSTRAP_ITERATIONS,
+    MAX_REPLICATIONS,
     EvalCounts,
     JudgmentRecord,
     aggregate_judgments,
@@ -110,12 +111,20 @@ class TestAggregate:
         assert counts["a"].u == 3
 
     def test_bad_category_mentions_record(self):
-        with pytest.raises(ValueError, match="record 0 .*unknown category 'Q'"):
-            aggregate_judgments([JudgmentRecord("s1", "a", "Q")])
+        # the record refuses its category when it is built, so no bad one reaches aggregate_judgments
+        with pytest.raises(ValueError) as err:
+            JudgmentRecord("s1", "a", "Q")
+        assert str(err.value) == "unknown category 'Q', expected one of S/F/E/N"
 
     def test_bad_replications(self):
         with pytest.raises(ValueError, match="replications"):
             aggregate_judgments([], replications=0)
+
+    def test_replications_are_bounded(self):
+        with pytest.raises(ValueError, match=rf"^replications must be <= {MAX_REPLICATIONS}, got {10**19}$"):
+            aggregate_judgments([], replications=10**19)
+        counts = aggregate_judgments([], unchanged=[("s1", "a")], replications=MAX_REPLICATIONS)
+        assert counts["a"].u == MAX_REPLICATIONS
 
 
 class TestSari:

@@ -13,6 +13,7 @@ from plainterm.ngram_lm import (
     STOP,
     UNK,
     MAX_ORDER,
+    MIN_DISCOUNT,
     LookupScorer,
     NgramModel,
     check_train_settings,
@@ -146,6 +147,13 @@ class TestModelInvariants:
         check_train_settings(MAX_ORDER, 0.75, 1)
         with pytest.raises(ValueError, match="no training data"):
             train(["", "   "])
+
+    def test_smallest_accepted_discount_trains(self):
+        # a subnormal discount rounds an interpolated probability to 0, whose log fails
+        with pytest.raises(ValueError, match=r"^discount must be at least 1e-12, got 5e-324$"):
+            train(["a b", "c"], discount=5e-324)
+        model = train(["a b c", "d e"], order=MAX_ORDER, discount=MIN_DISCOUNT, min_count=1)
+        assert all(math.isfinite(value) for value in model.probs.values())
 
 
 class TestArpa:

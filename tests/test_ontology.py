@@ -165,6 +165,26 @@ class TestPhraseTable:
             PhraseTable.from_groups([["a", "b"], labels])
         assert str(err.value) == "group 1: empty label"
 
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([["a", "b"], ["b", "c"]], "group 1: label 'b' appears in more than one group"),
+            ([["a", "b"], ["c", "C"]], "group 1: group 1 has fewer than 2 labels"),
+            ([["a", "b"], []], "group 1: no labels"),
+        ],
+    )
+    def test_from_groups_errors_name_a_group(self, groups, message):
+        with pytest.raises(ValueError) as err:
+            PhraseTable.from_groups(groups)
+        assert str(err.value) == message
+
+    def test_from_groups_labels_hold_one_str_per_word(self):
+        groups = [["heart attack", "myocardial infarction"], ["Heart Failure,", "cardiac failure"]]
+        table = PhraseTable.from_groups(groups)
+        canon = {}
+        labels = [*table.index, *(label for group in table.groups for label in group.labels)]
+        assert all(canon.setdefault(w, w) is w for label in labels for w in label)
+
     def test_max_label_len(self):
         table = PhraseTable.from_groups([["otalgia", "shortness of breath"]])
         assert table.max_label_len() == 3

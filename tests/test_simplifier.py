@@ -23,11 +23,15 @@ from plainterm.textproc import Span, Token, extract_spans, tokenize
 from plainterm.wordfreq import EPSILON, FrequencyTable, build_table
 
 
+def norms_of(tokens):
+    return tuple(t.norm for t in tokens)
+
+
 def span_for(sentence, table):
     tokens = tokenize(sentence)
     spans = extract_spans(tokens, table)
     assert len(spans) == 1
-    return tuple(t.norm for t in tokens), spans[0]
+    return norms_of(tokens), spans[0]
 
 
 class TestConfig:
@@ -55,7 +59,9 @@ class TestRankSpan:
 
     def rank(self, alpha, lm=None, freq=None):
         norms, span = span_for("a big dog .", self.table)
-        return rank_span(norms, span, ScoreMemo(lm or self.lm, self.table, freq or self.freq), alpha)
+        # an empty table is falsy, so test for None
+        freq = self.freq if freq is None else freq
+        return rank_span(norms, span, ScoreMemo(lm or self.lm, self.table, freq), alpha)
 
     def test_pure_lm_picks_fluent_candidate(self):
         chosen, _ = self.rank(alpha=1.0)
@@ -126,7 +132,7 @@ class TestSimplifyOnce:
         lm = LookupScorer({"a big dog .": -2.0, "a large dog .": -1.0})
         freq = FrequencyTable({})
         tokens = tokenize("a big dog .")
-        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0))
+        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0), norms_of(tokens))
         assert [t.text for t in out] == ["a", "large", "dog", "."]
         assert len(reps) == 1
         assert reps[0].chosen == ("large",)
@@ -134,8 +140,9 @@ class TestSimplifyOnce:
     def test_keeps_sentence_when_original_wins(self):
         table = PhraseTable.from_groups([["big", "large"]])
         lm = LookupScorer({"a big dog .": -1.0, "a large dog .": -2.0})
+        freq = FrequencyTable({})
         tokens = tokenize("a big dog .")
-        out, reps = simplify_once(tokens, ScoreMemo(lm, table, FrequencyTable({})), SimplifierConfig(alpha=1.0))
+        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0), norms_of(tokens))
         assert reps == []
         assert [t.text for t in out] == ["a", "big", "dog", "."]
 
@@ -144,7 +151,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "earache": 0.5, "pyrexia": 1e-9, "otalgia": 1e-9})
         tokens = tokenize("pyrexia and otalgia .")
-        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
+        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert [t.text for t in out] == ["Fever", "and", "earache", "."]
         assert len(reps) == 2
 
@@ -153,7 +160,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("Pyrexia was noted .")
-        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
+        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert [t.text for t in out] == ["Fever", "was", "noted", "."]
 
     def test_mid_sentence_replacement_stays_lowercase(self, constant):
@@ -161,7 +168,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("Noted Pyrexia today .")
-        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
+        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert [t.text for t in out] == ["Noted", "fever", "today", "."]
 
     def test_longer_replacement_shifts_following_tokens(self, constant):
@@ -169,7 +176,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"shortness": 0.1, "of": 0.5, "breath": 0.1, "dyspnoea": 1e-9})
         tokens = tokenize("dyspnoea worse at night .")
-        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
+        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert [t.text for t in out] == ["Shortness", "of", "breath", "worse", "at", "night", "."]
         assert [t.norm for t in out] == ["shortness", "of", "breath", "worse", "at", "night", "."]
 
@@ -178,7 +185,8 @@ class TestSimplifyOnce:
         table = PhraseTable.from_groups([["pyrexia", "ßfever"]])
         lm = constant(-1.0)
         freq = FrequencyTable({"ßfever": 0.5, "pyrexia": 1e-9})
-        out, _ = simplify_once(tokenize("pyrexia ."), ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
+        tokens = tokenize("pyrexia .")
+        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert out == tokenize("SSfever .")
 
 
