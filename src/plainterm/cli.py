@@ -1,9 +1,8 @@
 """Command-line interface: build-table, train-lm, simplify, evaluate, tune.
 
-Data goes to stdout or the requested output files; logs and summaries go to
-stderr. Exit codes: 0 on success, 1 on runtime or data errors, 2 on usage
-errors. Given the same inputs and seed, every command writes byte-identical
-output.
+Data goes to stdout or the requested output files; summaries go to stderr.
+Exit codes: 0 on success, 1 on runtime or data errors, 2 on usage errors.
+Given the same inputs and seed, every command writes byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,15 +10,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import statistics
 import sys
 from typing import IO, ContextManager, Sequence
 
 from . import evaluation, ngram_lm, ontology, simplifier, wordfreq
 from .textproc import open_text, rows
-
-log = logging.getLogger("plainterm")
 
 
 class UsageError(Exception):
@@ -53,7 +49,7 @@ def cmd_build_table(args: argparse.Namespace) -> int:
     table = ontology.align(records, expand_plurals=args.plural_variants)
     with _open_out(args.output) as out:
         ontology.write_table(table, out)
-    log.info("built %d groups from %d records", len(table.groups), len(records))
+    print(f"built {len(table.groups)} groups from {len(records)} records", file=sys.stderr)
     return 0
 
 
@@ -65,7 +61,7 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
         )
     with _open_out(args.output) as out:
         ngram_lm.save_arpa(model, out)
-    log.info("trained order-%d model, vocabulary size %d", model.order, len(model.vocab))
+    print(f"trained order-{model.order} model, vocabulary size {len(model.vocab)}", file=sys.stderr)
     return 0
 
 
@@ -316,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         return args.func(args)
     except UsageError as exc:

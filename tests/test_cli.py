@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import logging
 import os
 import pathlib
 import re
@@ -232,6 +235,30 @@ class TestEvaluate:
         assert "a\t2\t1\t1\t0\t7\t0.09" in out
         assert "b\t1\t2\t0\t1\t0\t-0.25" in out
         assert "p-value(a vs b)\t" in out
+
+    def test_published_judgment_tables(self, tmp_path, capsys):
+        # S/F/E/N tallies and unchanged pairs as published; U is the pairs times 7
+        published = {
+            "human": ((1730, 273, 904, 40), 579, "4053", "0.21"),
+            "ngram": ((1452, 1004, 1732, 110), 386, "2702", "0.06"),
+            "gpt1": ((1404, 747, 1736, 117), 428, "2996", "0.09"),
+        }
+        judgments, unchanged = tmp_path / "judgments.csv", tmp_path / "unchanged.csv"
+        judgment_rows, unchanged_rows = ["sentence_id,system_id,category"], []
+        for system, (tallies, pairs, _, _) in published.items():
+            for category, count in zip("SFEN", tallies):
+                judgment_rows += [f"s{i},{system},{category}" for i in range(count)]
+            unchanged_rows += [f"u{i},{system}" for i in range(pairs)]
+        judgments.write_text("\n".join(judgment_rows) + "\n")
+        unchanged.write_text("\n".join(unchanged_rows) + "\n")
+        argv = ["evaluate", "--judgments", str(judgments), "--unchanged", str(unchanged)]
+        assert run([*argv, "--compare", "human", "ngram"]) == 0
+        header, *table, p_value = capsys.readouterr().out.splitlines()
+        assert header.split() == ["system", "S", "F", "E", "N", "U", "SG"]
+        assert sorted(row.split() for row in table) == sorted(
+            [system, *map(str, tallies), u, sg] for system, (tallies, _, u, sg) in published.items()
+        )
+        assert p_value.startswith("p-value(human vs ngram)\t")
 
     def test_compare_unknown_system(self, tmp_path, capsys):
         judgments, _ = self.write_judgments(tmp_path)
@@ -517,6 +544,23 @@ class TestEntryPoints:
         monkeypatch.setattr(plainterm.cli, "cmd_build_table", exhausted)
         assert run(["build-table", str(data_dir / "otalgia_ontology.tsv")]) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_each_call_writes_its_summary_to_its_own_stderr(self, data_dir, tmp_path):
+        root = logging.getLogger()
+        before = root.level, list(root.handlers)
+        table = ["build-table", str(data_dir / "pipeline_ontology.tsv"), "-o", str(tmp_path / "table.tsv")]
+        model = ["train-lm", str(data_dir / "pipeline_corpus.txt"), "-o", str(tmp_path / "model.arpa")]
+        for argv, summary in [
+            (table, "built 3 groups from 6 records\n"),
+            (table, "built 3 groups from 6 records\n"),
+            (model, "trained order-3 model, vocabulary size 20\n"),
+            (model, "trained order-3 model, vocabulary size 20\n"),
+        ]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(argv) == 0
+            assert err.getvalue() == summary
+        assert (root.level, root.handlers) == before
 
     def python(self, *args):
         # the child process runs the package these tests import, installed or not

@@ -173,6 +173,19 @@ class TestSari:
         with pytest.raises(ValueError, match="^line 2: source and output are both empty$"):
             mean_sari(["a b", " "], ["a", ""], ["a", "b"])
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ((["a"], ["a"], ["a", "b"]), "sources, outputs and references must have the same number of lines"),
+            (([], [], []), "no sentences to score"),
+        ],
+        ids=["ragged", "empty"],
+    )
+    def test_mean_needs_parallel_lines(self, lines, message):
+        with pytest.raises(ValueError) as err:
+            mean_sari(*lines)
+        assert str(err.value) == message
+
     def test_matches_oracle_on_random_cases(self):
         rng = random.Random(404)
         vocab = list("abcdefgh")

@@ -22,7 +22,6 @@ import contextlib
 import hashlib
 import io
 import json
-import logging
 import os
 import pathlib
 import tempfile
@@ -44,8 +43,7 @@ def load_manifest() -> dict:
 def run_all(manifest: dict, tmp: pathlib.Path) -> dict[str, tuple[int, dict[str, str]]]:
     """Run every entry in order; name -> (exit code, {stream: text})."""
     places = {**PLACES, "{tmp}": tmp}
-    logger = logging.getLogger("plainterm")
-    saved = logger.level, logger.propagate, os.environ.get("COLUMNS")
+    saved = os.environ.get("COLUMNS")
     # help text wraps to the terminal width
     os.environ["COLUMNS"] = "80"
     results = {}
@@ -55,20 +53,11 @@ def run_all(manifest: dict, tmp: pathlib.Path) -> dict[str, tuple[int, dict[str,
             for mark, path in places.items():
                 argv = [arg.replace(mark, str(path)) for arg in argv]
             out, err = io.StringIO(), io.StringIO()
-            # the command's log lines reach stderr as they would from a shell
-            handler = logging.StreamHandler(err)
-            handler.setFormatter(logging.Formatter("%(message)s"))
-            logger.addHandler(handler)
-            logger.setLevel(logging.INFO)
-            logger.propagate = False
-            try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = main(argv)
-                    except SystemExit as exc:  # --help and argparse errors
-                        code = exc.code
-            finally:
-                logger.removeHandler(handler)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # --help and argparse errors
+                    code = exc.code
             streams = {"stdout": out.getvalue(), "stderr": err.getvalue()}
             for file in entry.get("files", []):
                 streams[file] = (tmp / file).read_bytes().decode("utf-8")
@@ -76,12 +65,10 @@ def run_all(manifest: dict, tmp: pathlib.Path) -> dict[str, tuple[int, dict[str,
                 streams = {key: text.replace(str(path), mark) for key, text in streams.items()}
             results[name] = code, streams
     finally:
-        logger.setLevel(saved[0])
-        logger.propagate = saved[1]
-        if saved[2] is None:
+        if saved is None:
             del os.environ["COLUMNS"]
         else:
-            os.environ["COLUMNS"] = saved[2]
+            os.environ["COLUMNS"] = saved
     return results
 
 

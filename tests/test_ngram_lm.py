@@ -132,6 +132,8 @@ class TestModelInvariants:
         model = train(["a b"], order=2, discount=0.5, min_count=1)
         with pytest.raises(ValueError, match="empty sequence"):
             model.score([])
+        with pytest.raises(ValueError, match="^word 'zzz' not in model vocabulary$"):
+            model.logprob([], "zzz")
 
     def test_train_validates_parameters(self):
         with pytest.raises(ValueError, match="order"):
@@ -244,6 +246,21 @@ class TestArpa:
         text = self.arpa_text().replace("-0.5\tthe", entry.format(value))
         with pytest.raises(ValueError, match=f"line 5: {what} must be finite, got '{value}'"):
             load_arpa(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("abc\tthe", "line 5: bad log probability 'abc'"),
+            ("-0.5\ta b", "line 5: expected a 1-gram, got 'a b'"),
+            ("-0.5\tthe\txyz", "line 5: bad backoff weight 'xyz'"),
+        ],
+        ids=["prob", "gram", "backoff"],
+    )
+    def test_rejects_bad_entry(self, entry, message):
+        text = self.arpa_text().replace("-0.5\tthe", entry)
+        with pytest.raises(ValueError) as err:
+            load_arpa(io.StringIO(text))
+        assert str(err.value) == message
 
     def test_rejects_duplicate_ngram(self):
         text = self.arpa_text().replace("-1.0\tdog", "-3.0\tthe")
@@ -474,6 +491,10 @@ class TestLookupScorer:
     def test_missing_without_default(self):
         with pytest.raises(ValueError, match="no stored score"):
             LookupScorer({}).score(["x"])
+
+    def test_empty_sequence(self):
+        with pytest.raises(ValueError, match="^cannot score empty sequence$"):
+            LookupScorer({}).score([])
 
     def test_load(self):
         scorer = LookupScorer.load(io.StringIO("a b .\t-2.5\n# note\n\nc .\t-1\n"))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plainterm.ontology import (
+    AlternativeGroup,
     PhraseTable,
     align,
     normalize_label,
@@ -158,6 +159,13 @@ class TestPhraseTable:
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError, match="more than one group"):
             PhraseTable.from_groups([["a", "b"], ["b", "c"]])
+
+    def test_bare_constructor_rejects_a_label_in_two_groups(self):
+        # the only check for a table built outside read_table, from_groups and align
+        groups = [AlternativeGroup(0, (("a",), ("b",))), AlternativeGroup(1, (("b",), ("c",)))]
+        with pytest.raises(ValueError) as err:
+            PhraseTable(groups)
+        assert str(err.value) == "label 'b' appears in more than one group"
 
     @pytest.mark.parametrize("labels", [["", "big"], ["big", " "], ["big", "large", "\t"]])
     def test_from_groups_rejects_an_empty_label(self, labels):

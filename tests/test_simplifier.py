@@ -124,6 +124,17 @@ class TestRankSpan:
             assert candidates[0].combined == candidates[1].combined
             assert chosen == ("ill",)
 
+    def test_spans_with_one_start_keep_their_own_candidates_in_one_memo(self, constant):
+        # a memo keyed on the start alone would hand the second span the first one's labels
+        table = PhraseTable.from_groups([["a", "x"], ["a b", "y"]])
+        memo = ScoreMemo(constant(-1.0), table, FrequencyTable({}))
+        for span, terms in [
+            (Span(0, 1, 0, ("a",)), [("a",), ("x",)]),
+            (Span(0, 2, 1, ("a", "b")), [("a", "b"), ("y",)]),
+        ]:
+            _, candidates = rank_span(("a", "b"), span, memo, 0.5)
+            assert [c.term for c in candidates] == terms
+
 
 
 class TestSimplifyOnce:

@@ -26,6 +26,10 @@ class TestLoadTable:
         with pytest.raises(ValueError, match="line 3: duplicate word 'fever'"):
             load_table(io.StringIO("Fever\t0.5\n# comment\nfever\t0.001\n"))
 
+    def test_empty_word_is_an_error(self):
+        with pytest.raises(ValueError, match="^line 1: empty word$"):
+            load_table(io.StringIO(" \t0.5\n"))
+
     def test_word_with_whitespace_is_an_error(self):
         # wf looks up single words, so this row could never be read
         with pytest.raises(ValueError, match="^line 2: word contains whitespace$"):
