@@ -85,7 +85,14 @@ def cmd_simplify(args: argparse.Namespace) -> int:
         if "\t" in sentence:
             raise ValueError(f"line {line_no}: input sentence contains a tab")
     table, lm, freq = _load_models(args)
-    results = [simplifier.simplify(s, table, lm, freq, config) for s in sentences]
+    results = []
+    for line_no, sentence in enumerate(sentences, start=1):
+        # the scorer may have no score for a candidate: a lookup table without its row,
+        # or an ARPA model without <unk> that meets an unknown word
+        try:
+            results.append(simplifier.simplify(sentence, table, lm, freq, config))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     with _open_out(args.output) as out:
         for res in results:
             out.write(f"{res.original}\t{res.final}\t{res.iterations}\n")

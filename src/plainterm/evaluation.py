@@ -125,9 +125,17 @@ def load_judgments(stream: IO[str] | Iterable[str]) -> list[JudgmentRecord]:
 
 
 def load_unchanged(stream: IO[str] | Iterable[str]) -> list[tuple[str, str]]:
-    """Read sentence_id,system_id CSV rows flagging pairs the system left alone."""
-    pairs = _csv_rows(stream, ["sentence_id", "system_id"])
-    return [(sentence_id, system_id) for _, (sentence_id, system_id) in pairs]
+    """Read sentence_id,system_id CSV rows flagging pairs the system left alone.
+
+    Each pair counts as several U judgments, so a pair listed twice raises
+    ValueError at its second row rather than counting twice.
+    """
+    pairs: dict[tuple[str, str], None] = {}
+    for line_no, (sentence_id, system_id) in _csv_rows(stream, ["sentence_id", "system_id"]):
+        if (sentence_id, system_id) in pairs:
+            raise ValueError(f"line {line_no}: duplicate unchanged pair {sentence_id!r},{system_id!r}")
+        pairs[sentence_id, system_id] = None
+    return list(pairs)
 
 
 def check_replications(replications: int) -> None:

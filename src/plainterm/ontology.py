@@ -108,13 +108,6 @@ def pluralize(word: str) -> str:
     return word + "s"
 
 
-def _plural_variant(label: Label) -> Label | None:
-    # pluralize the head (final) word only, and only when it is alphabetic
-    if not label or not label[-1].isalpha():
-        return None
-    return label[:-1] + (pluralize(label[-1]),)
-
-
 def parse_records(stream: IO[str] | Iterable[str]) -> list[ConceptRecord]:
     """Parse tab-separated ontology rows: concept_id, label, source, P|A flag.
 
@@ -135,27 +128,6 @@ def parse_records(stream: IO[str] | Iterable[str]) -> list[ConceptRecord]:
     return records
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-
-    def add(self, key: str) -> None:
-        self.parent.setdefault(key, key)
-
-    def find(self, key: str) -> str:
-        root = key
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[key] != root:
-            self.parent[key], key = root, self.parent[key]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def align(records: Iterable[ConceptRecord], expand_plurals: bool = True) -> PhraseTable:
     """Merge concepts that share a normalized label into alternative groups.
 
@@ -165,40 +137,38 @@ def align(records: Iterable[ConceptRecord], expand_plurals: bool = True) -> Phra
     in ascending order of each group's smallest concept id, so the result is
     independent of record order.
     """
-    labels_by_concept: dict[str, set[Label]] = defaultdict(set)
+    # a union-find over labels: every label of a concept joins the concept's first label
+    parent: dict[Label, Label] = {}
+    first_label: dict[str, Label] = {}
+
+    def find(label: Label) -> Label:
+        # path halving: each label on the way points at its grandparent
+        while parent[label] != label:
+            parent[label] = label = parent[parent[label]]
+        return label
+
     for rec in records:
-        base = normalize_label(rec.label)
-        if not base:
+        label = normalize_label(rec.label)
+        if not label:
             continue
-        variants = {base}
-        if expand_plurals:
-            plural = _plural_variant(base)
-            if plural:
-                variants.add(plural)
-        labels_by_concept[rec.concept_id].update(variants)
+        anchor = first_label.setdefault(rec.concept_id, label)
+        joined = [label]
+        # pluralize the head (final) word only, and only when it is alphabetic
+        if expand_plurals and label[-1].isalpha():
+            joined.append(label[:-1] + (pluralize(label[-1]),))
+        for member in joined:
+            parent.setdefault(member, member)
+            parent[find(member)] = find(anchor)
 
-    uf = _UnionFind()
-    first_concept: dict[Label, str] = {}
-    for concept_id, labels in labels_by_concept.items():
-        uf.add(concept_id)
-        for label in labels:
-            uf.union(first_concept.setdefault(label, concept_id), concept_id)
-
-    clusters: dict[str, list[str]] = defaultdict(list)
-    for concept_id in labels_by_concept:
-        clusters[uf.find(concept_id)].append(concept_id)
-
-    keyed = []
-    for members in clusters.values():
-        labels = sorted({lab for cid in members for lab in labels_by_concept[cid]})
-        if len(labels) < 2:
-            continue
-        keyed.append((min(members), labels))
-    keyed.sort(key=lambda item: item[0])
-
-    return PhraseTable(
-        [AlternativeGroup(gid, tuple(labels)) for gid, (_, labels) in enumerate(keyed)]
-    )
+    members: dict[Label, list[Label]] = defaultdict(list)
+    for label in parent:
+        members[find(label)].append(label)
+    smallest_id: dict[Label, str] = {}
+    for concept_id, label in first_label.items():
+        root = find(label)
+        smallest_id[root] = min(smallest_id.get(root, concept_id), concept_id)
+    ordered = sorted((smallest_id[root], sorted(labels)) for root, labels in members.items() if len(labels) > 1)
+    return PhraseTable([AlternativeGroup(gid, tuple(labels)) for gid, (_, labels) in enumerate(ordered)])
 
 
 def write_table(table: PhraseTable, stream: IO[str]) -> None:

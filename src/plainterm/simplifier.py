@@ -73,8 +73,12 @@ class Replacement(NamedTuple):
 class SimplificationResult:
     original: str
     final: str
-    iterations: int
     trace: list[tuple[Replacement, ...]]
+
+    @property
+    def iterations(self) -> int:
+        """The number of passes that changed the sentence."""
+        return sum(1 for passes in self.trace if passes)
 
     @property
     def changed(self) -> bool:
@@ -267,7 +271,6 @@ def simplify(
     if tokens is None:
         tokens = memo.tokens[sentence] = tokenize(sentence)
     trace: list[tuple[Replacement, ...]] = []
-    iterations = 0
     if tokens:
         norms = tuple(map(_NORM, tokens))
         seen = {norms}
@@ -276,10 +279,9 @@ def simplify(
             trace.append(tuple(replacements))
             if not replacements:
                 break
-            iterations += 1
             norms = tuple(map(_NORM, tokens))
             if norms in seen:
                 break
             seen.add(norms)
-    final = detokenize(tokens) if iterations else sentence
-    return SimplificationResult(sentence, final, iterations, trace)
+    final = detokenize(tokens) if any(trace) else sentence
+    return SimplificationResult(sentence, final, trace)

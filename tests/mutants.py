@@ -1,0 +1,172 @@
+"""Committed mutant gate: tier-1 must fail on every mutant listed here.
+
+Each entry is (name, file, old text, new text). The old text must occur
+exactly once in its file, so a refactor that moves the code fails the gate
+loudly, and the change that moves it updates the entry. Removing an entry
+loosens the gate.
+
+For each mutant the runner copies the whole tree into a temporary directory,
+applies the one edit there and runs `pytest -x -q`, which must end in a test
+failure (exit 1): an import or collection error does not count. The whole
+tree is copied, not just src/, because pyproject.toml's pythonpath puts the
+checkout's own src/ first. The unmutated copy is run first and must pass.
+
+    python3 tests/mutants.py
+
+pytest does not collect this file, since its name does not start with test_.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # the backoff weights folded from the left, (b1 + b2) + p, instead of b1 + (b2 + p)
+    (
+        "backoff-left-fold",
+        "src/plainterm/ngram_lm.py",
+        "        while weights:\n            prob = weights.pop() + prob\n",
+        "        prob = sum(weights) + prob\n",
+    ),
+    (
+        "splice-window-one-short",
+        "src/plainterm/simplifier.py",
+        "stop = min(start + len(label) + lm.order - 1, len(sent))",
+        "stop = min(start + len(label) + lm.order - 2, len(sent))",
+    ),
+    (
+        "rank-key-without-lm",
+        "src/plainterm/simplifier.py",
+        '_RANK_KEY = attrgetter("combined", "lm_score")',
+        '_RANK_KEY = attrgetter("combined")',
+    ),
+    (
+        "rank-key-swapped",
+        "src/plainterm/simplifier.py",
+        '_RANK_KEY = attrgetter("combined", "lm_score")',
+        '_RANK_KEY = attrgetter("lm_score", "combined")',
+    ),
+    (
+        "no-cycle-guard",
+        "src/plainterm/simplifier.py",
+        "            if norms in seen:\n                break\n",
+        "",
+    ),
+    (
+        "splice-capitalize",
+        "src/plainterm/simplifier.py",
+        "words[0] = words[0][:1].upper() + words[0][1:]",
+        "words[0] = words[0].capitalize()",
+    ),
+    (
+        "memo-key-without-span-end",
+        "src/plainterm/simplifier.py",
+        "key = (norms, span.start, span.end)",
+        "key = (norms, span.start)",
+    ),
+    (
+        "arpa-strips-only-newline",
+        "src/plainterm/ngram_lm.py",
+        'line = raw.rstrip("\\r\\n")\n            fields = line.split("\\t")',
+        'line = raw.rstrip("\\n")\n            fields = line.split("\\t")',
+    ),
+    (
+        "arpa-backslash-line-does-not-end-section",
+        "src/plainterm/ngram_lm.py",
+        'if stripped.startswith("\\\\"):\n                    break\n',
+        'if stripped.startswith("\\\\"):\n                    continue\n',
+    ),
+    (
+        "arpa-blank-line-ends-section",
+        "src/plainterm/ngram_lm.py",
+        "if not stripped:\n                    continue\n",
+        "if not stripped:\n                    break\n",
+    ),
+    (
+        "arpa-accepts-four-fields",
+        "src/plainterm/ngram_lm.py",
+        "if len(fields) not in (2, 3):",
+        "if len(fields) not in (2, 3, 4):",
+    ),
+    (
+        "align-without-union",
+        "src/plainterm/ontology.py",
+        "parent[find(member)] = find(anchor)",
+        "find(member), find(anchor)",
+    ),
+    (
+        "align-group-id-from-largest-concept",
+        "src/plainterm/ontology.py",
+        "smallest_id[root] = min(smallest_id.get(root, concept_id), concept_id)",
+        "smallest_id[root] = max(smallest_id.get(root, concept_id), concept_id)",
+    ),
+]
+
+# left out of the copy: version control, caches and benchmark output
+_SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".work", "out"}
+
+
+def check_entries() -> list[str]:
+    """The entries whose old text does not occur exactly once in their file."""
+    problems = []
+    for name, file, old, _new in MUTANTS:
+        path = ROOT / file
+        count = path.read_text(encoding="utf-8").count(old) if path.is_file() else 0
+        if count != 1:
+            problems.append(f"{name}: old text occurs {count} times in {file}, expected once")
+    return problems
+
+
+def run_tier1(edit: tuple[str, str, str] | None) -> tuple[int, float]:
+    """Copy the tree, apply edit (file, old, new) if any, run pytest -x -q; (exit code, seconds)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = pathlib.Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=lambda _dir, names: [n for n in names if n in _SKIPPED or n.endswith(".egg-info")])
+        if edit is not None:
+            file, old, new = edit
+            path = tree / file
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        # no bytecode: an edit of the same size within a second could reuse a stale .pyc
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        return proc.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    problems = check_entries()
+    for problem in problems:
+        print(f"bad entry: {problem}")
+    if problems:
+        return 1
+    code, seconds = run_tier1(None)
+    if code != 0:
+        print(f"the unmutated tree fails tier-1 (exit {code}, {seconds:.1f} s), so no mutant can be judged")
+        return 1
+    print(f"unmutated tree: passed ({seconds:.1f} s)")
+    survivors = []
+    for name, file, old, new in MUTANTS:
+        code, seconds = run_tier1((file, old, new))
+        # 1 is a test failure; 2 and above are collection, usage or internal errors
+        if code == 1:
+            print(f"caught   {name} ({seconds:.1f} s)")
+        else:
+            print(f"SURVIVED {name} (exit {code}, {seconds:.1f} s)")
+            survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

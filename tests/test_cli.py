@@ -177,6 +177,25 @@ class TestSimplify:
         assert captured.out == ""
         assert captured.err.startswith("error: line 2: ")
 
+    @pytest.mark.parametrize(
+        "lm, message",
+        [
+            ("ranking_lm.tsv", "no stored score for 'patient had two heart attack .'"),
+            ("unigram.arpa", "word 'patient' not in model vocabulary and model has no <unk>"),
+        ],
+    )
+    def test_unscorable_sentence_names_its_line(self, data_dir, tmp_path, capsys, lm, message):
+        # line 1 has no match, so nothing in it is scored
+        source = tmp_path / "input.txt"
+        source.write_text("plain text .\nPatient had two myocardial infarctions .\n")
+        args = self.simplify_args(data_dir)
+        args[args.index("--input") + 1] = str(source)
+        args[args.index("--lm") + 1] = str(data_dir / lm)
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 2: {message}\n"
+
 
 class TestEvaluate:
     def write_sentences(self, tmp_path):

@@ -89,6 +89,13 @@ class TestLoaders:
         flags = load_unchanged(io.StringIO("sentence_id,system_id\ns1,human\ns2,ngram\n"))
         assert flags == [("s1", "human"), ("s2", "ngram")]
 
+    def test_repeated_unchanged_pair_is_refused(self):
+        # counted twice, the pair would add 2 * replications U judgments
+        text = "sentence_id,system_id\ns3,a\ns3,b\n\ns3,a\n"
+        with pytest.raises(ValueError) as err:
+            load_unchanged(io.StringIO(text))
+        assert str(err.value) == "line 5: duplicate unchanged pair 's3','a'"
+
 
 class TestAggregate:
     def test_tallies_by_system(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plainterm.ontology import (
     AlternativeGroup,
+    ConceptRecord,
     PhraseTable,
     align,
     normalize_label,
@@ -106,6 +107,12 @@ class TestAlign:
         groups = align(recs).groups
         heads = {lab[-1] for lab in groups[0].labels}
         assert "2s" not in heads
+
+    def test_blank_label_joins_no_group(self):
+        # parse_records refuses a blank label, but a record built by hand can carry
+        # one; kept, the two blanks would put concept a, the smallest id, in b's group
+        recs = [ConceptRecord("a", " "), ConceptRecord("b", "x"), ConceptRecord("b", "\t"), ConceptRecord("b", "y")]
+        assert align(recs, expand_plurals=False).groups == [AlternativeGroup(0, (("x",), ("y",)))]
 
     def test_group_ids_dense_and_ordered(self):
         recs = records(
