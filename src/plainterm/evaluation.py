@@ -167,61 +167,17 @@ def aggregate_judgments(
     return {system_id: EvalCounts(**tallies[system_id]) for system_id in sorted(tallies)}
 
 
-def _sari_ngram(
-    src: Sequence[str],
-    out: Sequence[str],
-    refs: Sequence[Sequence[str]],
-    n: int,
-) -> tuple[float, float, float]:
-    # one n-gram level of SARI: keep F1, delete precision, add F1. Source and
-    # output counts are scaled by the number of references. One walk over the
-    # source n-grams in first-occurrence order yields the keep and delete
-    # ratios in the order Counter & and - would list them, so each sum adds
-    # the same floats in the same sequence.
-    numref = len(refs)
-    s_counts = Counter(ngrams(src, n))
-    c_counts = Counter(ngrams(out, n))
-    r_counts: Counter[tuple[str, ...]] = Counter()
-    for ref in refs:
-        r_counts.update(ngrams(ref, n))
-
-    keep_p_terms: list[float] = []
-    keep_r_terms: list[float] = []
-    del_terms: list[float] = []
-    keep_cands = keep_alls = del_cands = 0
-    for gram, s in s_counts.items():
-        s *= numref
-        c = c_counts.get(gram, 0) * numref
-        r = r_counts.get(gram, 0)
-        if c:
-            keep_cands += 1
-            if r:
-                keep_good = min(s, c, r)
-                keep_p_terms.append(keep_good / min(s, c))
-                keep_r_terms.append(keep_good / min(s, r))
-        if r:
-            keep_alls += 1
-        if s > c:
-            del_cands += 1
-            if s - c > r:
-                del_terms.append((s - c - r) / (s - c))
-    keep_p = sum(keep_p_terms) / keep_cands if keep_cands else 0.0
-    keep_r = sum(keep_r_terms) / keep_alls if keep_alls else 0.0
-    keep = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p > 0 or keep_r > 0 else 0.0
-    delete = sum(del_terms) / del_cands if del_cands else 0.0
-
-    add_cand = c_counts.keys() - s_counts.keys()
-    add_good = add_cand & r_counts.keys()
-    add_all = r_counts.keys() - s_counts.keys()
-    add_p = len(add_good) / len(add_cand) if add_cand else 0.0
-    add_r = len(add_good) / len(add_all) if add_all else 0.0
-    add = 2 * add_p * add_r / (add_p + add_r) if add_p > 0 or add_r > 0 else 0.0
-
-    return keep, delete, add
+def _f1(p: float, r: float) -> float:
+    return 2 * p * r / (p + r) if p > 0 or r > 0 else 0.0
 
 
 def sari_components(source: str, output: str, references: Sequence[str]) -> tuple[float, float, float]:
-    """Keep, delete, and add components on a 0..100 scale, each averaged over n=1..4."""
+    """Keep, delete, and add components on a 0..100 scale, each averaged over n=1..4.
+
+    Source and output counts are scaled by the number of references. The keep
+    and delete ratios are added one by one in the source n-grams' first-occurrence
+    order, not by sum(), so a score is the same float on Python 3.10 to 3.12.
+    """
     if not references:
         raise ValueError("at least one reference required")
     src = source.lower().split()
@@ -232,12 +188,40 @@ def sari_components(source: str, output: str, references: Sequence[str]) -> tupl
     # a blank reference would score every kept word as a miss, rewarding rewrites
     if not all(refs):
         raise ValueError("empty reference")
+    numref = len(refs)
     keep_sum = del_sum = add_sum = 0.0
     for n in range(1, 5):
-        keep, delete, add = _sari_ngram(src, out, refs, n)
-        keep_sum += keep
-        del_sum += delete
-        add_sum += add
+        s_counts = Counter(ngrams(src, n))
+        c_counts = Counter(ngrams(out, n))
+        r_counts: Counter[tuple[str, ...]] = Counter()
+        for ref in refs:
+            r_counts.update(ngrams(ref, n))
+
+        keep_p = keep_r = delete = 0.0
+        keep_cands = keep_alls = del_cands = 0
+        for gram, s in s_counts.items():
+            s *= numref
+            c = c_counts.get(gram, 0) * numref
+            r = r_counts.get(gram, 0)
+            if c:
+                keep_cands += 1
+                if r:
+                    keep_good = min(s, c, r)
+                    keep_p += keep_good / min(s, c)
+                    keep_r += keep_good / min(s, r)
+            if r:
+                keep_alls += 1
+            if s > c:
+                del_cands += 1
+                if s - c > r:
+                    delete += (s - c - r) / (s - c)
+        keep_sum += _f1(keep_p / keep_cands if keep_cands else 0.0, keep_r / keep_alls if keep_alls else 0.0)
+        del_sum += delete / del_cands if del_cands else 0.0
+
+        add_cand = c_counts.keys() - s_counts.keys()
+        add_good = len(add_cand & r_counts.keys())
+        add_all = r_counts.keys() - s_counts.keys()
+        add_sum += _f1(add_good / len(add_cand) if add_cand else 0.0, add_good / len(add_all) if add_all else 0.0)
     # each component is always averaged over the four n-gram levels
     return 100.0 * keep_sum / 4, 100.0 * del_sum / 4, 100.0 * add_sum / 4
 

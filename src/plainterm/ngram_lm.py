@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from .textproc import ngrams, open_text, rows
+from .textproc import ngrams, open_text, rows, tokenize
 
 __all__ = [
     "START",
@@ -142,7 +142,12 @@ class LookupScorer:
 
     @classmethod
     def load(cls, stream: IO[str] | Iterable[str]) -> "LookupScorer":
-        """Load sentence<TAB>score rows; scores must be finite and sentences unique."""
+        """Load sentence<TAB>score rows; scores must be finite and sentences unique.
+
+        simplify asks only for the lowercased tokenize forms of a non-empty
+        sentence joined by single spaces, so an empty sentence or one in any
+        other form is refused: its row could never be looked up.
+        """
         scores: dict[str, float] = {}
         for line_no, (sentence, text) in rows(stream, 2):
             try:
@@ -152,6 +157,11 @@ class LookupScorer:
             # NaN compares false both ways, so it would win a ranking by default
             if not math.isfinite(score):
                 raise ValueError(f"line {line_no}: score must be finite, got {text!r}")
+            key = " ".join(t.norm for t in tokenize(sentence))
+            if not key:
+                raise ValueError(f"line {line_no}: empty sentence")
+            if sentence != key:
+                raise ValueError(f"line {line_no}: unreachable sentence {sentence!r}, simplify asks for {key!r}")
             if scores.setdefault(sentence, score) is not score:
                 raise ValueError(f"line {line_no}: duplicate sentence {sentence!r}")
         return cls(scores)

@@ -108,6 +108,18 @@ MUTANTS = [
         "smallest_id[root] = min(smallest_id.get(root, concept_id), concept_id)",
         "smallest_id[root] = max(smallest_id.get(root, concept_id), concept_id)",
     ),
+    (
+        "sari-keep-recall-over-candidates",
+        "src/plainterm/evaluation.py",
+        "keep_r / keep_alls if keep_alls else 0.0",
+        "keep_r / keep_cands if keep_cands else 0.0",
+    ),
+    (
+        "sari-add-recall-over-candidates",
+        "src/plainterm/evaluation.py",
+        "add_good / len(add_all) if add_all else 0.0",
+        "add_good / len(add_cand) if add_cand else 0.0",
+    ),
 ]
 
 # left out of the copy: version control, caches and benchmark output

@@ -160,6 +160,14 @@ def _frozen_ngram_counter(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _left_sum(terms):
+    # sum() as it was before Python 3.12 made it compensated: plain float adds, left to right
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _frozen_sari_ngram(src, out, refs, n):
     numref = len(refs)
     s_counts = _frozen_ngram_counter(src, n)
@@ -173,13 +181,13 @@ def _frozen_sari_ngram(src, out, refs, n):
     keep_cand = s_rep & c_rep
     keep_good = keep_cand & r_counts
     keep_all = s_rep & r_counts
-    keep_p = sum(keep_good[g] / keep_cand[g] for g in keep_good) / len(keep_cand) if keep_cand else 0.0
-    keep_r = sum(keep_good[g] / keep_all[g] for g in keep_good) / len(keep_all) if keep_all else 0.0
+    keep_p = _left_sum(keep_good[g] / keep_cand[g] for g in keep_good) / len(keep_cand) if keep_cand else 0.0
+    keep_r = _left_sum(keep_good[g] / keep_all[g] for g in keep_good) / len(keep_all) if keep_all else 0.0
     keep = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p > 0 or keep_r > 0 else 0.0
 
     del_cand = s_rep - c_rep
     del_good = del_cand - r_counts
-    delete = sum(del_good[g] / del_cand[g] for g in del_good) / len(del_cand) if del_cand else 0.0
+    delete = _left_sum(del_good[g] / del_cand[g] for g in del_good) / len(del_cand) if del_cand else 0.0
 
     add_cand = set(c_counts) - set(s_counts)
     add_good = add_cand & set(r_counts)

@@ -156,6 +156,15 @@ class TestSari:
         assert delete == pytest.approx(25.0, abs=1e-9)
         assert add == pytest.approx(50.0, abs=1e-9)
 
+    def test_components_are_the_same_float_on_every_python(self):
+        # sums added left to right; Python 3.12's compensated sum() gives ...556p+6 and ...bffffffffffffp+3
+        assert sari_components("e g b b a a a b d e g", "", ["b"])[1] == float.fromhex("0x1.8955555555555p+6")
+        assert sari_components("b c b a a", "a b c a", ["a c b", "d", "c"]) == (
+            float.fromhex("0x1.c000000000001p+3"),
+            float.fromhex("0x1.638e38e38e38ep+6"),
+            0.0,
+        )
+
     def test_case_insensitive(self):
         assert sari("Foo .", "Bar .", ["bar ."]) == sari("foo .", "bar .", ["bar ."])
 

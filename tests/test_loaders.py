@@ -42,24 +42,35 @@ def tune_curve(text, tmp_path):
     return curve.read_text()
 
 
-# (load(text, tmp_path), valid rows, column count)
+# (load(text, tmp_path), valid rows, column count, a well-formed row it refuses, the refusal)
 TSV_READERS = [
     pytest.param(
-        lambda text, _: parse_records(io.StringIO(text)), "C1\tOtalgia\tsrc\tP\n", 4, id="parse_records"
+        lambda text, _: parse_records(io.StringIO(text)),
+        "C1\tOtalgia\tsrc\tP\n", 4, "C1\tOtalgia\tsrc\tQ", "flag must be P or A, got 'Q'",
+        id="parse_records",
     ),
     pytest.param(
-        lambda text, _: read_table(io.StringIO(text)), "0\totalgia\n0\tearache\n", 2, id="read_table"
+        lambda text, _: read_table(io.StringIO(text)),
+        "0\totalgia\n0\tearache\n", 2, "x\tfoo", "bad group id 'x'",
+        id="read_table",
     ),
-    pytest.param(lambda text, _: load_table(io.StringIO(text)), "otalgia\t0.5\n", 2, id="load_table"),
     pytest.param(
-        lambda text, _: LookupScorer.load(io.StringIO(text)).scores, "a b .\t-1.5\n", 2, id="LookupScorer.load"
+        lambda text, _: load_table(io.StringIO(text)),
+        "otalgia\t0.5\n", 2, "word\tabc", "bad probability 'abc'",
+        id="load_table",
     ),
-    pytest.param(tune_curve, "foo .\tbar .\n", 2, id="tune-dev"),
+    pytest.param(
+        lambda text, _: LookupScorer.load(io.StringIO(text)).scores,
+        "a b .\t-1.5\n", 2, "Patient had a heart attack.\t-1.5",
+        "unreachable sentence 'Patient had a heart attack.', simplify asks for 'patient had a heart attack .'",
+        id="LookupScorer.load",
+    ),
+    pytest.param(tune_curve, "foo .\tbar .\n", 2, "foo .\t ", "empty reference", id="tune-dev"),
 ]
 
 
-@pytest.mark.parametrize("load, body, ncols", TSV_READERS)
-def test_tsv_reader_skips_comments_and_numbers_lines(load, body, ncols, tmp_path):
+@pytest.mark.parametrize("load, body, ncols, refused, message", TSV_READERS)
+def test_tsv_reader_skips_comments_and_numbers_lines(load, body, ncols, refused, message, tmp_path):
     skipped = "# comment\n\n \t \n"
     assert load(skipped + body + "# trailing\n", tmp_path) == load(body, tmp_path)
     bad_line = 3 + body.count("\n") + 1
@@ -68,6 +79,9 @@ def test_tsv_reader_skips_comments_and_numbers_lines(load, body, ncols, tmp_path
         with pytest.raises(ValueError) as err:
             load(skipped + body + bad_row + "\n", tmp_path)
         assert str(err.value) == f"line {bad_line}: expected {ncols} columns, got {width}"
+    with pytest.raises(ValueError) as err:
+        load(skipped + body + refused + "\n", tmp_path)
+    assert str(err.value) == f"line {bad_line}: {message}"
 
 
 def test_rows_yields_line_numbers_of_the_input():
@@ -81,7 +95,7 @@ FRAGMENTS = [
     "ngram x=1", "\\1-grams:", "\\2-grams:", "\\end\\", "-0.5\tthe", "-1.0\tdog\t-0.3",
     "-0.2\tthe dog", "nan\tthe", "C1\tOtalgia\tsrc\tP", "C2\tEarache\tsrc\tA", "C1\t\tsrc\tP",
     "0\tearache", "0\totalgia", "1\totalgia", "x\ty", "word\t0.5", "word\t1.5", "a b .\tinf",
-    "a b .\t-2", "s1,a,S", "s1,b,Q", "s1,a", "sentence_id,system_id,category",
+    "a b .\t-2", "A b .\t-2", "\t-2", "s1,a,S", "s1,b,Q", "s1,a", "sentence_id,system_id,category",
     "sentence_id,system_id", '"s1,a",S', '"open',
 ]
 NOISE = st.text(alphabet="ab .,#\t\"'-01ePA\\=:\r\x00\x1c ", max_size=16)

@@ -514,6 +514,26 @@ class TestLookupScorer:
         with pytest.raises(ValueError, match=f"line 2: score must be finite, got '{text}'"):
             LookupScorer.load(io.StringIO(f"a .\t-5.0\nb .\t{text}\n"))
 
+    @pytest.mark.parametrize(
+        "sentence, message",
+        [
+            ("Patient had a heart attack .", "simplify asks for 'patient had a heart attack .'"),
+            ("attack.", "simplify asks for 'attack .'"),
+            ("a  b", "simplify asks for 'a b'"),
+            ("", "empty sentence"),
+            (" ", "empty sentence"),
+        ],
+    )
+    def test_load_rejects_a_sentence_simplify_never_asks_for(self, sentence, message):
+        with pytest.raises(ValueError) as err:
+            LookupScorer.load(io.StringIO(f"a .\t-5.0\n{sentence}\t-1.0\n"))
+        if sentence.strip():
+            message = f"unreachable sentence {sentence!r}, {message}"
+        assert str(err.value) == f"line 2: {message}"
+        # the score is parsed first, so a bad score keeps its message
+        with pytest.raises(ValueError, match="^line 1: bad score 'x'$"):
+            LookupScorer.load(io.StringIO(f"{sentence}\tx\n"))
+
 
 class TestLoadScorer:
     def test_sniffs_arpa(self, tmp_path, data_dir):
