@@ -51,17 +51,32 @@ class AlternativeGroup:
 
 @dataclass
 class PhraseTable:
-    """Alternative groups plus an exact-match index over their labels."""
+    """Alternative groups, an exact-match index over their labels, and their lengths by first two words."""
 
     groups: list[AlternativeGroup]
 
     def __post_init__(self) -> None:
         self.index: dict[Label, int] = {}
+        # first word -> second word -> the lengths (>= 2) of the labels that start
+        # with those two words, held as a bit set while the labels are read
+        self.prefix_lengths: dict[str, dict[str, tuple[int, ...]]] = {}
         for group in self.groups:
             for label in group.labels:
                 if label in self.index:
                     raise ValueError(f"label {' '.join(label)!r} appears in more than one group")
                 self.index[label] = group.group_id
+                if len(label) > 1:
+                    by_second = self.prefix_lengths.get(label[0])
+                    if by_second is None:
+                        by_second = self.prefix_lengths[label[0]] = {}
+                    by_second[label[1]] = by_second.get(label[1], 0) | 1 << len(label)
+        # each bit set becomes its lengths, longest first, in the same dict; equal sets share one tuple
+        decoded: dict[int, tuple[int, ...]] = {}
+        for by_second in self.prefix_lengths.values():
+            for second, bits in by_second.items():
+                if bits not in decoded:
+                    decoded[bits] = tuple(k for k in range(bits.bit_length() - 1, 1, -1) if bits >> k & 1)
+                by_second[second] = decoded[bits]
         self._by_id = {g.group_id: g for g in self.groups}
         self._max_label_len = max(map(len, self.index), default=0)
 

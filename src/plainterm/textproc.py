@@ -73,15 +73,27 @@ def extract_spans(tokens: Sequence[Token], table: "PhraseTable") -> list[Span]:
     At each position the longest matching phrase (up to the table's longest
     label) wins and the scan resumes after it, so returned spans are disjoint
     and sorted. Matching is on lowercased token forms.
+
+    At each position it tries, longest first, the lengths of the labels that
+    start with the next two words (table.prefix_lengths), then length 1, and
+    checks each with table.lookup; no other length can match there.
     """
     max_len = table.max_label_len()
+    # every position tries length 1 last, unless the table has no labels at all
+    single = (1,) if max_len else ()
     norms = [t.norm for t in tokens]
     n = len(norms)
     spans: list[Span] = []
     pos = 0
     while pos < n:
         hit = None
-        for length in range(min(max_len, n - pos), 0, -1):
+        lengths: tuple[int, ...] = ()
+        by_second = table.prefix_lengths.get(norms[pos])
+        if by_second is not None and pos + 1 < n:
+            lengths = by_second.get(norms[pos + 1], ())
+        for length in lengths + single:
+            if length > n - pos:
+                continue
             phrase = tuple(norms[pos : pos + length])
             group_id = table.lookup(phrase)
             if group_id is not None:

@@ -39,10 +39,20 @@ def load_table(stream: IO[str] | Iterable[str]) -> FrequencyTable:
 
 
 def build_table(corpus: IO[str] | Iterable[str]) -> FrequencyTable:
-    """Count whitespace-separated words and normalize counts into probabilities."""
+    """Count whitespace-separated words and normalize counts into probabilities.
+
+    A word that starts with '#' raises ValueError naming its line, since a
+    frequency file reads its row as a comment.
+    """
     counts: Counter[str] = Counter()
-    for line in corpus:
-        counts.update(w.lower() for w in line.split())
+    for line_no, line in enumerate(corpus, start=1):
+        words = [w.lower() for w in line.split()]
+        for word in words:
+            if word.startswith("#"):
+                raise ValueError(
+                    f"line {line_no}: word {word!r} starts with '#', which a frequency file reads as a comment"
+                )
+        counts.update(words)
     total = sum(counts.values())
     if total == 0:
         raise ValueError("empty corpus")

@@ -109,6 +109,18 @@ MUTANTS = [
         "smallest_id[root] = max(smallest_id.get(root, concept_id), concept_id)",
     ),
     (
+        "span-lengths-shortest-first",
+        "src/plainterm/ontology.py",
+        "for k in range(bits.bit_length() - 1, 1, -1)",
+        "for k in range(2, bits.bit_length())",
+    ),
+    (
+        "span-without-length-one",
+        "src/plainterm/textproc.py",
+        "single = (1,) if max_len else ()",
+        "single = ()",
+    ),
+    (
         "sari-keep-recall-over-candidates",
         "src/plainterm/evaluation.py",
         "keep_r / keep_alls if keep_alls else 0.0",

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plainterm.ontology import PhraseTable, normalize_label, read_table
+from plainterm.ontology import ConceptRecord, PhraseTable, align, normalize_label, read_table
 from plainterm.textproc import Span, detokenize, extract_spans, tokenize
 
 from oracles import greedy_spans
@@ -111,6 +111,36 @@ class TestExtractSpans:
             want = greedy_spans([t.norm for t in toks], table.index, table.max_label_len())
             assert got == want
 
+    def test_tries_only_the_indexed_lengths_then_one(self):
+        table = self.table([["heart attack", "cardiac arrest"], ["heart attack risk", "cardiac risk"], ["a", "one"]])
+        assert table.prefix_lengths["heart"] == {"attack": (3, 2)}
+        assert table.max_label_len() == 3
+        calls = {"lookup": 0, "max_label_len": 0}
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        # wrapped on the instance, as perfbench's tracer wraps them
+        table.lookup = counted("lookup", table.lookup)
+        table.max_label_len = counted("max_label_len", table.max_label_len)
+        spans = extract_spans(tokenize("Heart attack risk of a heart attack today heart"), table)
+        assert [(s.start, s.end, s.matched) for s in spans] == [
+            (0, 3, ("heart", "attack", "risk")),
+            (4, 5, ("a",)),
+            (5, 7, ("heart", "attack")),
+        ]
+        # lookups at each position: "heart attack" tries 3, a hit (1); "of" tries 1 (1);
+        # "a" tries 1, a hit (1); "heart attack" tries 3, then 2, a hit (2); "today"
+        # tries 1 (1); the last "heart" has no next word and tries 1 (1). Trying
+        # every length from the longest label's down would take 12.
+        assert calls == {"lookup": 7, "max_label_len": 1}
+        extract_spans(tokenize("heart"), table)
+        assert calls == {"lookup": 8, "max_label_len": 2}
+
 
 # mixed case and punctuation, so labels and sentences both need normalizing
 WORDS = ["ab", "Ab", "AB", "cd", "Cd", "e", "e.", "(e", ",", "f-g"]
@@ -128,6 +158,37 @@ def test_extract_spans_equals_oracle_on_random_tables(labels, sentence):
     got = [(s.start, s.end, s.group_id) for s in extract_spans(tokens, table)]
     want = greedy_spans(norms(tokens), table.index, max(map(len, table.index)))
     assert got == [(i, j, table.lookup(norms(tokens)[i:j])) for i, j in want]
+
+
+# labels of 1-6 words over 3 words, so that many share their first two words at different lengths
+PREFIX_WORDS = ["a", "b", "c"]
+PREFIX_LABELS = st.lists(st.sampled_from(PREFIX_WORDS), min_size=1, max_size=6).map(" ".join)
+
+
+@given(
+    entries=st.lists(st.tuples(st.integers(0, 4), PREFIX_LABELS), min_size=2, max_size=16, unique_by=lambda e: e[1]),
+    plurals=st.booleans(),
+    data=st.data(),
+)
+def test_extract_spans_equals_oracle_however_the_table_is_built(entries, plurals, data):
+    labels = [label for _, label in entries]
+    # the sentence strings labels and single words together, so that long labels occur in it
+    pieces = st.sampled_from(labels + PREFIX_WORDS + ["as", "cs", "x"])
+    sentence = " ".join(data.draw(st.lists(pieces, max_size=8))).split()
+    # labels pair up into groups in order; an odd last label joins the final group
+    groups = [labels[i : i + 2] for i in range(0, len(labels) - 1, 2)]
+    groups[-1] += labels[len(groups) * 2 :]
+    tables = [
+        read_table(f"{gid}\t{label}\n" for gid, group in enumerate(groups) for label in group),
+        PhraseTable.from_groups(groups),
+        # concepts that share a label merge, so align's groups differ from the pairs
+        align([ConceptRecord(f"c{cid}", label) for cid, label in entries], expand_plurals=plurals),
+        PhraseTable([]),
+    ]
+    for table in tables:
+        got = [(s.start, s.end, s.group_id) for s in extract_spans(tokenize(" ".join(sentence)), table)]
+        want = greedy_spans(sentence, table.index, table.max_label_len())
+        assert got == [(i, j, table.index[tuple(sentence[i:j])]) for i, j in want]
 
 
 # whitespace and punctuation of several kinds, including ones str.split and

@@ -63,6 +63,16 @@ class TestBuildTable:
         with pytest.raises(ValueError, match="empty corpus"):
             build_table(io.StringIO("\n  \n"))
 
+    def test_word_starting_with_hash_is_an_error(self):
+        # its word<TAB>probability row would read back as a comment, losing the word
+        message = "^line 2: word '#tag' starts with '#', which a frequency file reads as a comment$"
+        with pytest.raises(ValueError, match=message):
+            build_table(io.StringIO("the cat\nsee #Tag here\n"))
+        # a '#' inside a word is kept, and its row reads back
+        table = build_table(io.StringIO("c# and f# and\n"))
+        rows = "".join(f"{word}\t{prob!r}\n" for word, prob in table.items())
+        assert load_table(io.StringIO(rows)) == table == {"c#": 0.25, "and": 0.5, "f#": 0.25}
+
 
 class TestWf:
     def table(self, **probs):
