@@ -124,14 +124,18 @@ class ScoreMemo:
 
     A memo is bound to one scorer, one phrase table and one frequency table.
     It asks the scorer once per distinct sentence and keeps every score.
-    Around an NgramModel it also keeps the per-position log-probabilities of
-    each sentence it splices into, so a splice rescores only the positions
-    it changed. It keeps the tokens of each input sentence (simplify), the
-    spans of each distinct pass input, keyed by its norms (simplify_once),
-    and the term, spliced sentence, lm and wf score of each label of each
-    span, keyed by pass input and span (rank_span). Only the combined score,
-    which rank_span computes on every call, and its argmax depend on alpha,
-    so grid_search_alpha shares one memo across its whole grid.
+    Around an NgramModel it also keeps per-position log-probabilities: the
+    base of each pass input, and the log-probs of each window a splice
+    rescored, keyed by the window's words with their order - 1 words of left
+    context and by the number of start pads, which together fix them. Only a
+    sentence's first pass input is scored whole; each later one gets its base
+    carried from the pass before (carry). It keeps the wf score of each
+    label, the tokens of each input sentence (simplify), the spans of each
+    distinct pass input, keyed by its norms (simplify_once), and the term,
+    spliced sentence, lm and wf score of each label of each span, keyed by
+    pass input and span (rank_span). Only the combined score, which rank_span
+    computes on every call, and its argmax depend on alpha, so
+    grid_search_alpha shares one memo across its whole grid.
 
     It keeps everything it has seen, so make one per call that simplifies
     many overlapping sentences and let it go when that call returns.
@@ -143,38 +147,82 @@ class ScoreMemo:
         self.freq = freq
         self.scores: dict[tuple[str, ...], float] = {}
         self.bases: dict[tuple[str, ...], list[float]] = {}
+        # (window words with their left context, start pads) -> the window's log-probs
+        self.windows: dict[tuple[tuple[str, ...], int], list[float]] = {}
+        self.wfs: dict[Label, float] = {}
         self.tokens: dict[str, list[Token]] = {}
         self.spans: dict[tuple[str, ...], list[Span]] = {}
         # (norms, start, end) -> (term, sentence, lm, wf) of each label in the span's group
         self.ranked: dict[tuple[tuple[str, ...], int, int], list[tuple[Label, tuple[str, ...], float, float]]] = {}
+
+    def _base(self, norms: tuple[str, ...]) -> list[float]:
+        base = self.bases.get(norms)
+        if base is None:
+            base = self.bases[norms] = self.lm.logprobs(norms, 0, len(norms))
+        return base
+
+    def _splice(self, base: list[float], sent: tuple[str, ...], start: int, end: int, length: int) -> list[float]:
+        """Return the log-probs of sent, given base, those of the sentence it was spliced from.
+
+        sent has length words at start where that sentence had its words
+        start..end. Only positions start .. start + length + order - 2 of sent can differ
+        from the base's: later words see none of the new words in their
+        context. Those positions are kept in windows, by their words with the
+        order - 1 words before them and by the number of start pads, which
+        fix them.
+        """
+        n = self.lm.order - 1
+        stop = min(start + length + n, len(sent))
+        key = (sent[max(start - n, 0) : stop], max(n - start, 0))
+        window = self.windows.get(key)
+        if window is None:
+            window = self.windows[key] = self.lm.logprobs(sent, start, stop)
+        return base[:start] + window + base[stop + end - start - length :]
 
     def score_splice(
         self, norms: tuple[str, ...], start: int, end: int, label: Sequence[str]
     ) -> tuple[tuple[str, ...], float]:
         """Score norms with norms[start:end] replaced by label; return (sentence, score).
 
-        For an NgramModel only positions start .. start + len(label) + order - 2
-        can change: later words see none of the splice in their context. The
-        others are the base's, and fsum of the same values in any order gives
-        the same float, so the score equals NgramModel.score of the sentence.
-        Any other scorer scores the whole sentence.
+        For an NgramModel the score is the fsum of norms' base with the
+        splice's window rescored (see _splice); the label that keeps the
+        matched text gives norms itself, whose score is the fsum of the base.
+        fsum of the same values in any order gives the same float, so the
+        score equals NgramModel.score of the sentence. Any other scorer
+        scores the whole sentence.
         """
         sent = (*norms[:start], *label, *norms[end:])
         score = self.scores.get(sent)
         if score is None:
-            lm = self.lm
-            if isinstance(lm, NgramModel):
-                base = self.bases.get(norms)
-                if base is None:
-                    base = self.bases[norms] = lm.logprobs(norms, 0, len(norms))
-                stop = min(start + len(label) + lm.order - 1, len(sent))
-                shift = end - start - len(label)
-                logps = base[:start] + lm.logprobs(sent, start, stop) + base[stop + shift :]
+            if isinstance(self.lm, NgramModel):
+                logps = self._base(norms)
+                if sent != norms:
+                    logps = self._splice(logps, sent, start, end, len(label))
                 score = math.fsum(logps) / len(sent)
             else:
-                score = lm.score(sent)
+                score = self.lm.score(sent)
             self.scores[sent] = score
         return sent, score
+
+    def carry(self, norms: tuple[str, ...], out: tuple[str, ...], replacements: Sequence[Replacement]) -> None:
+        """Give pass output out, the next pass input, a base spliced from that of its pass input norms.
+
+        The replacements are spliced right to left, so each span's offsets in
+        norms still hold, and each window is rescored with every word to its
+        right already final. The words spliced are the ones the pass wrote,
+        out's norms: a sentence-initial "ß" is written "SS", whose norm is
+        "ss". Only an NgramModel has bases.
+        """
+        if not isinstance(self.lm, NgramModel) or out in self.bases:
+            return
+        base, sent = self._base(norms), norms
+        for rep in reversed(replacements):
+            start, end = rep.span.start, rep.span.end
+            # only a span at 0 is capitalized, and nothing to its left has moved its words
+            words = out[: len(rep.chosen)] if start == 0 else rep.chosen
+            sent = (*sent[:start], *words, *sent[end:])
+            base = self._splice(base, sent, start, end, len(words))
+        self.bases[out] = base
 
 
 def rank_span(
@@ -188,7 +236,8 @@ def rank_span(
     norms are the lowercased tokens of the pass input. The alternatives are
     the labels of the span's group in the memo's phrase table. The language
     model scores the full sentence with the alternative spliced in, through
-    ScoreMemo.score_splice; the frequency score sees the bare term. The memo
+    ScoreMemo.score_splice; the frequency score sees the bare term, and the
+    memo computes it once per label. The memo
     keeps these alpha-free scores per pass input and span, so a later call at
     another alpha scores nothing. Combined score is alpha * lm + (1 - alpha) * wf,
     computed here on every call and nowhere else.
@@ -202,7 +251,10 @@ def rank_span(
         scored = memo.ranked[key] = []
         for label in memo.table.group(span.group_id).labels:
             sent, lm_score = memo.score_splice(norms, span.start, span.end, label)
-            scored.append((label, sent, lm_score, wf(label, memo.freq)))
+            wf_score = memo.wfs.get(label)
+            if wf_score is None:
+                wf_score = memo.wfs[label] = wf(label, memo.freq)
+            scored.append((label, sent, lm_score, wf_score))
     candidates = tuple([Candidate(t, s, lm, w, alpha * lm + (1.0 - alpha) * w) for t, s, lm, w in scored])
     # labels are stored sorted and max keeps the first of equal keys, so the
     # smallest term wins ties
@@ -254,9 +306,11 @@ def simplify(
     sentence; the trace has one entry per executed pass, so a run that
     converged before the cap ends with an empty trace entry. A bare scorer
     gets a ScoreMemo for this call, so each distinct candidate sentence is
-    scored once per call; an NgramModel scores each distinct pass input once
-    and rescores only each candidate's changed window (see
-    ScoreMemo.score_splice). A ScoreMemo passed in keeps all of it for later
+    scored once per call. An NgramModel scores only the first pass input
+    whole and rescores only each candidate's changed window (see
+    ScoreMemo.score_splice); after a pass that changed the sentence, when
+    another pass will run, the next input's base is carried from this one's
+    (ScoreMemo.carry). A ScoreMemo passed in keeps all of it for later
     calls; it must be bound to this table and this frequency table, or
     ValueError is raised. The memo holds only alpha-free values, so one memo
     serves every alpha; rank_span computes the combined score on each call.
@@ -274,7 +328,8 @@ def simplify(
     if tokens:
         norms = tuple(map(_NORM, tokens))
         seen = {norms}
-        for _ in range(config.max_iterations):
+        for passes_left in range(config.max_iterations - 1, -1, -1):
+            pass_input = norms
             tokens, replacements = simplify_once(tokens, memo, config, norms)
             trace.append(tuple(replacements))
             if not replacements:
@@ -283,5 +338,7 @@ def simplify(
             if norms in seen:
                 break
             seen.add(norms)
+            if passes_left:
+                memo.carry(pass_input, norms, replacements)
     final = detokenize(tokens) if any(trace) else sentence
     return SimplificationResult(sentence, final, trace)

@@ -46,9 +46,14 @@ def tokenize(sentence: str) -> list[Token]:
 
     Interior punctuation (hyphens, decimal points, apostrophes) is left attached,
     so "x-ray" and "3.5" survive as single tokens while "otalgia." becomes two.
+    A chunk of letters and digits alone (str.isalnum) is kept whole without a
+    look at each character: no letter or digit is Unicode punctuation.
     """
     texts: list[str] = []
     for chunk in sentence.split():
+        if chunk.isalnum():
+            texts.append(chunk)
+            continue
         lead = 0
         while lead < len(chunk) and _is_punct(chunk[lead]):
             texts.append(chunk[lead])

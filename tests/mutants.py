@@ -39,8 +39,28 @@ MUTANTS = [
     (
         "splice-window-one-short",
         "src/plainterm/simplifier.py",
-        "stop = min(start + len(label) + lm.order - 1, len(sent))",
-        "stop = min(start + len(label) + lm.order - 2, len(sent))",
+        "stop = min(start + length + n, len(sent))",
+        "stop = min(start + length + n - 1, len(sent))",
+    ),
+    # one window memo entry for the same words at start 1 of an order-3
+    # sentence and at start 2, which have different pads and windows
+    (
+        "window-memo-key-without-pads",
+        "src/plainterm/simplifier.py",
+        "key = (sent[max(start - n, 0) : stop], max(n - start, 0))",
+        "key = sent[max(start - n, 0) : stop]",
+    ),
+    (
+        "carry-splices-chosen",
+        "src/plainterm/simplifier.py",
+        "words = out[: len(rep.chosen)] if start == 0 else rep.chosen",
+        "words = rep.chosen",
+    ),
+    (
+        "carry-window-one-short",
+        "src/plainterm/simplifier.py",
+        "base = self._splice(base, sent, start, end, len(words))",
+        "base = self._splice(base, sent, start, end, len(words) - 1)",
     ),
     (
         "rank-key-without-lm",
@@ -113,6 +133,12 @@ MUTANTS = [
         "src/plainterm/ontology.py",
         "for k in range(bits.bit_length() - 1, 1, -1)",
         "for k in range(2, bits.bit_length())",
+    ),
+    (
+        "tokenize-keeps-printable-chunks-whole",
+        "src/plainterm/textproc.py",
+        "if chunk.isalnum():",
+        "if chunk.isprintable():",
     ),
     (
         "span-without-length-one",

@@ -10,6 +10,7 @@ exact references for faster rewrites.
 from __future__ import annotations
 
 import math
+import unicodedata
 from collections import Counter, defaultdict
 
 
@@ -235,6 +236,27 @@ def frozen_bleu(outputs, references, max_n=4):
         log_precisions.append(math.log(matched / total))
     brevity = 1.0 if out_len > ref_len else math.exp(1.0 - ref_len / out_len)
     return 100.0 * brevity * math.exp(math.fsum(log_precisions) / max_n)
+
+
+def frozen_tokenize(sentence):
+    """tokenize before its whole-chunk fast path: every chunk is peeled character by character."""
+
+    def is_punct(ch):
+        return unicodedata.category(ch).startswith("P")
+
+    texts = []
+    for chunk in sentence.split():
+        lead = 0
+        while lead < len(chunk) and is_punct(chunk[lead]):
+            texts.append(chunk[lead])
+            lead += 1
+        trail = len(chunk)
+        while trail > lead and is_punct(chunk[trail - 1]):
+            trail -= 1
+        if trail > lead:
+            texts.append(chunk[lead:trail])
+        texts.extend(chunk[trail:])
+    return [(text, text.lower()) for text in texts]
 
 
 def frozen_save_arpa(model, stream):

@@ -4,7 +4,7 @@ import zlib
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import plainterm.simplifier
@@ -369,12 +369,27 @@ class TestWindowScoring:
         _, table, freq = inputs[-1]
         config = SimplifierConfig(alpha=1.0)
         result = simplify(self.STAGE_INPUT, table, model, freq, config)
+        first = norms_of(tokenize(self.STAGE_INPUT))
         assert result.iterations >= 1
-        assert whole == passes
-        assert set(whole.values()) == {1}
+        # later passes ran, and each took its base from the pass before
+        assert len(passes) >= 2 and set(passes.values()) == {1}
+        assert whole == {first: 1}
         # no base outlives its call
         simplify(self.STAGE_INPUT, table, model, freq, config)
-        assert whole == {key: 2 for key in passes}
+        assert whole == {first: 2}
+
+    def test_windows_with_the_same_words_and_other_start_pads_are_kept_apart(self):
+        # at order 3 the window of "b c" spliced at 1 and that of "c" spliced at 2
+        # both span "x b c y z": the first after one start pad, the second after none
+        model = train(["x b c y z w v m q"], order=3, min_count=1)
+        memo = ScoreMemo(model, PhraseTable([]), FrequencyTable({}))
+        for norms, start, end, label in [
+            (("x", "m", "y", "z", "w"), 1, 2, ("b", "c")),
+            (("x", "b", "q", "y", "z", "v"), 2, 3, ("c",)),
+        ]:
+            sent, score = memo.score_splice(norms, start, end, label)
+            assert score == model.score(sent)
+        assert len(memo.windows) == 2
 
 
 class TestRankingFixture:
@@ -475,3 +490,53 @@ def test_simplify_invariants_on_random_tables(labels, words, sep, alpha, max_ite
     if result.trace and result.trace[-1] == ():
         again = simplify(result.final, table, CrcScorer(), FREQ, config)
         assert (again.final, again.iterations) == (result.final, 0)
+
+
+class ScoreOnly:
+    """Forwards only score, so simplify scores every candidate sentence whole."""
+
+    def __init__(self, lm):
+        self.lm = lm
+
+    def score(self, tokens):
+        return self.lm.score(tokens)
+
+
+# a sentence-initial "ß" is written "SS", and its norm "ss" is a word of its own here
+LM_WORDS = ["b", "c", "ss", "ß", "x", "y"]
+LM_LABELS = st.lists(st.sampled_from(LM_WORDS), min_size=1, max_size=2).map(" ".join)
+
+
+@given(
+    corpus=st.lists(st.lists(st.sampled_from(LM_WORDS), min_size=1, max_size=5).map(" ".join), min_size=1, max_size=6),
+    order=st.integers(1, 4),
+    min_count=st.integers(1, 2),
+    labels=st.lists(LM_LABELS, min_size=2, max_size=6, unique_by=normalize_label),
+    freq=st.dictionaries(st.sampled_from(LM_WORDS), st.sampled_from([0.001, 0.2, 0.3, 0.5])),
+    words=st.lists(st.sampled_from(LM_WORDS), max_size=7),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    max_iterations=st.integers(1, 5),
+)
+# a carry that spliced rep.chosen, "ß", where the pass wrote "SS" changed this trace
+@example(
+    corpus=["ss x y", "b x y", "ß x", "c x y ss", "x ss y", "ss ss x"],
+    order=3,
+    min_count=1,
+    labels=["b", "ß", "ss", "c"],
+    freq={"ß": 0.5, "b": 0.001, "ss": 0.001, "c": 0.3, "x": 0.2},
+    words=["b", "x", "y"],
+    alpha=0.5,
+    max_iterations=5,
+)
+def test_carried_bases_and_windows_equal_whole_sentence_scores(
+    corpus, order, min_count, labels, freq, words, alpha, max_iterations
+):
+    # labels pair up into groups in order; an odd last label joins the final group
+    last_group = len(labels) // 2 - 1
+    table = read_table(f"{min(i // 2, last_group)}\t{label}\n" for i, label in enumerate(labels))
+    model = train(corpus, order=order, min_count=min_count)
+    config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
+    sentence, freq = " ".join(words), FrequencyTable(freq)
+    window = simplify(sentence, table, model, freq, config)
+    whole = simplify(sentence, table, ScoreOnly(model), freq, config)
+    assert window.to_dict() == whole.to_dict()

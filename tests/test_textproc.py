@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from plainterm.ontology import ConceptRecord, PhraseTable, align, normalize_label, read_table
 from plainterm.textproc import Span, detokenize, extract_spans, tokenize
 
-from oracles import greedy_spans
+from oracles import frozen_tokenize, greedy_spans
 
 
 def texts(tokens):
@@ -201,3 +201,15 @@ def test_tokens_cover_the_text_and_survive_a_round_trip(s):
     tokens = tokenize(s)
     assert "".join(texts(tokens)) == "".join(s.split())
     assert tokenize(detokenize(tokens)) == tokens
+
+
+# letters and digits outside ASCII (a letter, a superscript, an Arabic-Indic
+# digit, a Roman numeral), punctuation and Unicode whitespace
+WORD_CHARS = "aZ7ß²٣Ⅻ.,-'(\"¿ \t\u00a0\u2003\u3000"
+
+
+@given(s=st.one_of(st.text(alphabet=WORD_CHARS, max_size=30), st.text(max_size=30)))
+def test_tokenize_equals_the_per_character_loop(s):
+    # a chunk of letters and digits alone is kept whole; the round trip above
+    # would still pass if "word." were kept whole too
+    assert tokenize(s) == frozen_tokenize(s)
