@@ -69,11 +69,6 @@ class NgramModel:
     backoffs: dict[tuple[str, ...], float]
     vocab: frozenset[str]
 
-    @property
-    def predicted_vocab(self) -> frozenset[str]:
-        """Words the model can emit: everything in vocab except the start symbol."""
-        return self.vocab - {START}
-
     def logprob(self, context: Sequence[str], word: str) -> float:
         """Natural-log P(word | context), backing off through shorter contexts."""
         ctx = tuple(context)
@@ -218,17 +213,25 @@ def train(
 
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
+    # one float per distinct backoff weight; lam < 1, so no weight is 0.0 or
+    # -0.0, which compare equal but are not the same float
+    weights: dict[float, float] = {}
     for k in range(1, order + 1):
         # the k-grams of padded[order - k:] are those ending on a predicted position
         counts: Counter[tuple[str, ...]] = Counter()
         for padded in sentences:
             counts.update(ngrams(padded[order - k :], k))
+        # each context is keyed by the tuple that keys it in probs, when it has
+        # one; the map goes before probs grows by this order
+        contexts = {gram: gram for gram in probs if len(gram) == k - 1}
         totals: dict[tuple[str, ...], int] = defaultdict(int)
         types: dict[tuple[str, ...], int] = defaultdict(int)
         for gram, count in counts.items():
             ctx = gram[:-1]
+            ctx = contexts.get(ctx, ctx)
             totals[ctx] += count
             types[ctx] += 1
+        del contexts
 
         if k == 1:
             total = totals[()]
@@ -248,7 +251,8 @@ def train(
                 probs[gram] = math.log(prob)
             for ctx, total in totals.items():
                 lam = discount * types[ctx] / total
-                backoffs[ctx] = math.log(lam)
+                backoff = math.log(lam)
+                backoffs[ctx] = weights.setdefault(backoff, backoff)
                 if ctx not in probs:
                     # pure start-padding contexts are never predicted themselves,
                     # but still need an entry to carry their backoff weight
@@ -304,7 +308,8 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
 
     Reads the stream once. Blank lines are ignored anywhere, every value must
     be finite, and an n-gram may not repeat within its section. All n-grams
-    that hold a word hold the same str object for it.
+    that hold a word hold the same str object for it, and all contexts whose
+    backoff weight has the same text hold the same float.
     """
     numbered = enumerate(stream, start=1)
     line_no, _, stripped = _next_line(numbered, 0)
@@ -333,6 +338,8 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
     # one str per distinct word; after the 1-gram section its keys are the vocabulary
     words: dict[str, str] = {}
     pooled = words.setdefault
+    # one float per distinct backoff text, stored once the text has passed its checks
+    backoff_of: dict[str, float] = {}
     for k in range(1, max_order + 1):
         header = f"\\{k}-grams:"
         if stripped != header:
@@ -367,13 +374,16 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
             if probs.setdefault(gram, prob) is not prob:
                 raise ValueError(f"line {line_no}: duplicate {k}-gram {fields[1]!r}")
             if len(fields) == 3:
-                try:
-                    log10_backoff = float(fields[2])
-                except ValueError:
-                    raise ValueError(f"line {line_no}: bad backoff weight {fields[2]!r}") from None
-                if not -math.inf < log10_backoff < math.inf:
-                    raise ValueError(f"line {line_no}: backoff weight must be finite, got {fields[2]!r}")
-                backoffs[gram] = log10_backoff * _LN10
+                backoff = backoff_of.get(fields[2])
+                if backoff is None:
+                    try:
+                        log10_backoff = float(fields[2])
+                    except ValueError:
+                        raise ValueError(f"line {line_no}: bad backoff weight {fields[2]!r}") from None
+                    if not -math.inf < log10_backoff < math.inf:
+                        raise ValueError(f"line {line_no}: backoff weight must be finite, got {fields[2]!r}")
+                    backoff = backoff_of[fields[2]] = log10_backoff * _LN10
+                backoffs[gram] = backoff
         else:
             # the end of input ends the last section too
             line_no, stripped = line_no + 1, ""

@@ -33,7 +33,7 @@ Label = tuple[str, ...]
 _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptRecord:
     """One ontology row: a concept identifier with one of its labels."""
 
@@ -41,7 +41,7 @@ class ConceptRecord:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlternativeGroup:
     """A set of interchangeable phrases."""
 

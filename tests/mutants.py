@@ -116,6 +116,25 @@ MUTANTS = [
         "if len(fields) not in (2, 3):",
         "if len(fields) not in (2, 3, 4):",
     ),
+    # a text met again gets its log10 value, where its first line got the natural log
+    (
+        "arpa-pooled-backoff-kept-in-log10",
+        "src/plainterm/ngram_lm.py",
+        "backoff = backoff_of[fields[2]] = log10_backoff * _LN10",
+        "backoff = log10_backoff * _LN10\n                    backoff_of[fields[2]] = log10_backoff",
+    ),
+    (
+        "train-contexts-from-wrong-order",
+        "src/plainterm/ngram_lm.py",
+        "contexts = {gram: gram for gram in probs if len(gram) == k - 1}",
+        "contexts = {gram: gram for gram in probs if len(gram) == k}",
+    ),
+    (
+        "train-backoff-weights-not-pooled",
+        "src/plainterm/ngram_lm.py",
+        "backoffs[ctx] = weights.setdefault(backoff, backoff)",
+        "backoffs[ctx] = backoff",
+    ),
     (
         "align-without-union",
         "src/plainterm/ontology.py",

@@ -32,7 +32,7 @@ LN10 = math.log(10.0)
 
 
 def context_sums_to_one(model, ctx):
-    return math.fsum(math.exp(model.logprob(ctx, w)) for w in model.predicted_vocab)
+    return math.fsum(math.exp(model.logprob(ctx, w)) for w in model.vocab - {START})
 
 
 class TestTrainHandArithmetic:
@@ -325,16 +325,71 @@ def test_train_equals_frozen_all_orders_at_once_counting(corpus, order, discount
 SHARED_WORDS_CORPUS = ["heart attack and heart failure", "the heart attack", "failure of the heart </s>"]
 
 
+def shared_words_arpa():
+    buf = io.StringIO()
+    save_arpa(train(SHARED_WORDS_CORPUS, order=3, min_count=1), buf)
+    return buf.getvalue()
+
+
+def shared_words_model(loaded):
+    if loaded:
+        return load_arpa(io.StringIO(shared_words_arpa()))
+    return train(SHARED_WORDS_CORPUS, order=3, min_count=1)
+
+
 @pytest.mark.parametrize("loaded", [False, True], ids=["train", "load_arpa"])
 def test_every_ngram_holds_one_str_per_word(loaded):
-    model = train(SHARED_WORDS_CORPUS, order=3, min_count=1)
-    if loaded:
-        buf = io.StringIO()
-        save_arpa(model, buf)
-        model = load_arpa(io.StringIO(buf.getvalue()))
+    model = shared_words_model(loaded)
     canon = {}
     keys = [*model.probs, *model.backoffs, *((w,) for w in model.vocab)]
     assert all(canon.setdefault(w, w) is w for key in keys for w in key)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["train", "load_arpa"])
+def test_every_backoff_shares_its_probs_key_and_its_weight(loaded):
+    model = shared_words_model(loaded)
+    key_of = {key: key for key in model.probs}
+    assert {len(ctx) for ctx in model.backoffs} == {1, 2}
+    assert all(key_of[ctx] is ctx for ctx in model.backoffs)
+    canon = {}
+    assert all(canon.setdefault(w, w) is w for w in model.backoffs.values())
+    # some weights repeat, so the pooling is exercised
+    assert len(canon) < len(model.backoffs)
+
+
+def arpa_with_bad_backoffs(bad, which):
+    """The shared-words model's ARPA text with bad as the backoff text of the
+    lines that `which` slices from those of its first repeated backoff text;
+    (text, the indices of those lines)."""
+    lines = shared_words_arpa().splitlines(keepends=True)
+    by_text = {}
+    for i, line in enumerate(lines):
+        fields = line.split("\t")
+        if len(fields) == 3:
+            by_text.setdefault(fields[2], []).append(i)
+    picked = next(at for at in by_text.values() if len(at) > 1)[which]
+    for i in picked:
+        prob, gram, _ = lines[i].split("\t")
+        lines[i] = f"{prob}\t{gram}\t{bad}\n"
+    return "".join(lines), picked
+
+
+BAD_BACKOFFS = [("nan", "backoff weight must be finite, got 'nan'"), ("x", "bad backoff weight 'x'")]
+
+
+@pytest.mark.parametrize("bad, message", BAD_BACKOFFS)
+def test_bad_backoff_text_after_a_pooled_one_fails_at_its_own_line(bad, message):
+    # the first line keeps the good text, which is pooled before the bad one is read
+    text, (second,) = arpa_with_bad_backoffs(bad, slice(1, 2))
+    with pytest.raises(ValueError, match=f"^line {second + 1}: {message}$"):
+        load_arpa(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad, message", BAD_BACKOFFS)
+def test_repeated_bad_backoff_text_fails_at_its_first_line(bad, message):
+    text, (first, _) = arpa_with_bad_backoffs(bad, slice(0, 2))
+    with pytest.raises(ValueError, match=f"^line {first + 1}: {message}$"):
+        load_arpa(io.StringIO(text))
 
 
 ARPA_MUTATIONS = (
