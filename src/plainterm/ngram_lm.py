@@ -92,32 +92,31 @@ class NgramModel:
             prob = weights.pop() + prob
         return prob
 
-    def logprobs(self, tokens: Sequence[str], start: int, stop: int) -> list[float]:
-        """Natural-log P(token | the tokens before it) for each of tokens[start:stop].
+    def logprobs(self, tokens: Sequence[str], pads: int) -> list[float]:
+        """Natural-log P(token | the tokens before it) for each token after the first order - 1 - pads.
 
-        The history is start-padded, and a word outside the vocabulary is
-        read as the unknown symbol.
+        The tokens follow pads start symbols, and a word outside the
+        vocabulary is read as the unknown symbol.
         """
         n = self.order - 1
-        lo = max(start - n, 0)
-        history = [START] * (n - (start - lo))
+        history = [START] * pads
         vocab = self.vocab
-        for tok in tokens[lo:stop]:
+        for tok in tokens:
             if tok in vocab:
                 history.append(tok)
             elif UNK in vocab:
                 history.append(UNK)
             else:
                 raise ValueError(f"word {tok!r} not in model vocabulary and model has no {UNK}")
-        # words[j : j + n] is the context of tokens[start + j], taken in one slice
+        # words[j : j + n] is the context of words[j + n], taken in one slice
         words = tuple(history)
-        return [self._logprob(words[j : j + n], words[j + n]) for j in range(stop - start)]
+        return [self._logprob(words[j : j + n], words[j + n]) for j in range(len(words) - n)]
 
     def score(self, tokens: Sequence[str]) -> float:
         """Mean natural-log probability of the tokens, start-padded, no end term."""
         if not tokens:
             raise ValueError("cannot score empty sequence")
-        return math.fsum(self.logprobs(tokens, 0, len(tokens))) / len(tokens)
+        return math.fsum(self.logprobs(tokens, self.order - 1)) / len(tokens)
 
 
 class LookupScorer:

@@ -124,18 +124,19 @@ class ScoreMemo:
 
     A memo is bound to one scorer, one phrase table and one frequency table.
     It asks the scorer once per distinct sentence and keeps every score.
-    Around an NgramModel it also keeps per-position log-probabilities: the
-    base of each pass input, and the log-probs of each window a splice
-    rescored, keyed by the window's words with their order - 1 words of left
-    context and by the number of start pads, which together fix them. Only a
-    sentence's first pass input is scored whole; each later one gets its base
-    carried from the pass before (carry). It keeps the wf score of each
-    label, the tokens of each input sentence (simplify), the spans of each
-    distinct pass input, keyed by its norms (simplify_once), and the term,
-    spliced sentence, lm and wf score of each label of each span, keyed by
-    pass input and span (rank_span). Only the combined score, which rank_span
-    computes on every call, and its argmax depend on alpha, so
-    grid_search_alpha shares one memo across its whole grid.
+    Around an NgramModel it also keeps one dict of per-position
+    log-probabilities, keyed by NgramModel.logprobs's own arguments: words
+    and a number of start pads. A pass input's base is its whole-sentence
+    entry, with order - 1 pads; a window a splice rescored is its words with
+    the order - 1 words of left context, and as many pads as that context
+    lacks. Only a sentence's first pass input is scored whole; each later
+    one gets its base carried from the pass before (carry). It keeps the wf
+    score of each label, the tokens of each input sentence (simplify), the
+    spans of each distinct pass input, keyed by its norms (simplify_once),
+    and the term, spliced sentence, lm and wf score of each label of each
+    span, keyed by pass input and span (rank_span). Only the combined score,
+    which rank_span computes on every call, and its argmax depend on alpha,
+    so grid_search_alpha shares one memo across its whole grid.
 
     It keeps everything it has seen, so make one per call that simplifies
     many overlapping sentences and let it go when that call returns.
@@ -145,21 +146,23 @@ class ScoreMemo:
         self.lm = lm
         self.table = table
         self.freq = freq
+        # the context length of a scorer scored by windows; None asks for whole sentences
+        self.n = lm.order - 1 if isinstance(lm, NgramModel) else None
         self.scores: dict[tuple[str, ...], float] = {}
-        self.bases: dict[tuple[str, ...], list[float]] = {}
-        # (window words with their left context, start pads) -> the window's log-probs
-        self.windows: dict[tuple[tuple[str, ...], int], list[float]] = {}
+        # (words, start pads) -> NgramModel.logprobs(words, pads)
+        self.logps: dict[tuple[tuple[str, ...], int], list[float]] = {}
         self.wfs: dict[Label, float] = {}
         self.tokens: dict[str, list[Token]] = {}
         self.spans: dict[tuple[str, ...], list[Span]] = {}
         # (norms, start, end) -> (term, sentence, lm, wf) of each label in the span's group
         self.ranked: dict[tuple[tuple[str, ...], int, int], list[tuple[Label, tuple[str, ...], float, float]]] = {}
 
-    def _base(self, norms: tuple[str, ...]) -> list[float]:
-        base = self.bases.get(norms)
-        if base is None:
-            base = self.bases[norms] = self.lm.logprobs(norms, 0, len(norms))
-        return base
+    def _logprobs(self, words: tuple[str, ...], pads: int) -> list[float]:
+        key = (words, pads)
+        logps = self.logps.get(key)
+        if logps is None:
+            logps = self.logps[key] = self.lm.logprobs(words, pads)
+        return logps
 
     def _splice(self, base: list[float], sent: tuple[str, ...], start: int, end: int, length: int) -> list[float]:
         """Return the log-probs of sent, given base, those of the sentence it was spliced from.
@@ -167,16 +170,12 @@ class ScoreMemo:
         sent has length words at start where that sentence had its words
         start..end. Only positions start .. start + length + order - 2 of sent can differ
         from the base's: later words see none of the new words in their
-        context. Those positions are kept in windows, by their words with the
-        order - 1 words before them and by the number of start pads, which
-        fix them.
+        context. Those positions are scored with the order - 1 words before
+        them, or with start pads where sent has fewer.
         """
-        n = self.lm.order - 1
+        n = self.n
         stop = min(start + length + n, len(sent))
-        key = (sent[max(start - n, 0) : stop], max(n - start, 0))
-        window = self.windows.get(key)
-        if window is None:
-            window = self.windows[key] = self.lm.logprobs(sent, start, stop)
+        window = self._logprobs(sent[max(start - n, 0) : stop], max(n - start, 0))
         return base[:start] + window + base[stop + end - start - length :]
 
     def score_splice(
@@ -194,8 +193,8 @@ class ScoreMemo:
         sent = (*norms[:start], *label, *norms[end:])
         score = self.scores.get(sent)
         if score is None:
-            if isinstance(self.lm, NgramModel):
-                logps = self._base(norms)
+            if self.n is not None:
+                logps = self._logprobs(norms, self.n)
                 if sent != norms:
                     logps = self._splice(logps, sent, start, end, len(label))
                 score = math.fsum(logps) / len(sent)
@@ -213,16 +212,17 @@ class ScoreMemo:
         out's norms: a sentence-initial "ß" is written "SS", whose norm is
         "ss". Only an NgramModel has bases.
         """
-        if not isinstance(self.lm, NgramModel) or out in self.bases:
+        key = (out, self.n)
+        if self.n is None or key in self.logps:
             return
-        base, sent = self._base(norms), norms
+        base, sent = self._logprobs(norms, self.n), norms
         for rep in reversed(replacements):
             start, end = rep.span.start, rep.span.end
             # only a span at 0 is capitalized, and nothing to its left has moved its words
             words = out[: len(rep.chosen)] if start == 0 else rep.chosen
             sent = (*sent[:start], *words, *sent[end:])
             base = self._splice(base, sent, start, end, len(words))
-        self.bases[out] = base
+        self.logps[key] = base
 
 
 def rank_span(

@@ -42,13 +42,34 @@ MUTANTS = [
         "stop = min(start + length + n, len(sent))",
         "stop = min(start + length + n - 1, len(sent))",
     ),
-    # one window memo entry for the same words at start 1 of an order-3
+    # one log-prob memo entry for the same words at start 1 of an order-3
     # sentence and at start 2, which have different pads and windows
     (
         "window-memo-key-without-pads",
         "src/plainterm/simplifier.py",
-        "key = (sent[max(start - n, 0) : stop], max(n - start, 0))",
-        "key = sent[max(start - n, 0) : stop]",
+        "key = (words, pads)",
+        "key = words",
+    ),
+    # a pass input's base scored after no start pads, so its first order - 1 words go unscored
+    (
+        "base-keyed-with-no-pads",
+        "src/plainterm/simplifier.py",
+        "logps = self._logprobs(norms, self.n)",
+        "logps = self._logprobs(norms, 0)",
+    ),
+    # the carried base stored where the next pass does not look, which then scores its input whole
+    (
+        "carry-stores-an-unread-key",
+        "src/plainterm/simplifier.py",
+        "self.logps[key] = base",
+        "self.logps[(out, 0)] = base",
+    ),
+    # every window read after a full context of start pads, whatever its place in the sentence
+    (
+        "logprobs-ignores-pads",
+        "src/plainterm/ngram_lm.py",
+        "history = [START] * pads",
+        "history = [START] * n",
     ),
     (
         "carry-splices-chosen",
@@ -147,6 +168,13 @@ MUTANTS = [
         "smallest_id[root] = min(smallest_id.get(root, concept_id), concept_id)",
         "smallest_id[root] = max(smallest_id.get(root, concept_id), concept_id)",
     ),
+    # labels kept in file order, so an exact tie goes to whichever row came first
+    (
+        "labels-in-file-order",
+        "src/plainterm/ontology.py",
+        "groups.append(AlternativeGroup(group_id, tuple(sorted(first_wheres))))",
+        "groups.append(AlternativeGroup(group_id, tuple(first_wheres)))",
+    ),
     (
         "span-lengths-shortest-first",
         "src/plainterm/ontology.py",
@@ -164,6 +192,13 @@ MUTANTS = [
         "src/plainterm/textproc.py",
         "single = (1,) if max_len else ()",
         "single = ()",
+    ),
+    # the sentence scores added left to right, so the mean depends on the pairs' order
+    (
+        "mean-sari-plain-addition",
+        "src/plainterm/evaluation.py",
+        "    return math.fsum(scores) / len(scores)\n",
+        "    total = 0.0\n    for score in scores:\n        total += score\n    return total / len(scores)\n",
     ),
     (
         "sari-keep-recall-over-candidates",

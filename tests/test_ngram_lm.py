@@ -473,18 +473,19 @@ def test_save_arpa_bytes_equal_a_tuple_sorted_writer(grams, extra_orders):
     assert buf.getvalue() == expected.getvalue()
 
 
-def right_folded_score(model, tokens):
-    """Mean log-probability by a plain backoff walk, and the deepest backoff chain.
+def backoff_walk(model, tokens, pads):
+    """Log-probabilities by a plain backoff walk, and the deepest backoff chain.
 
-    Each position adds its backoff weights from the innermost outwards,
-    b1 + (b2 + p), as NgramModel does.
+    Each token after the first order - 1 - pads is scored given the tokens
+    before it, which follow pads start symbols; a word outside the
+    vocabulary is <unk>. Each position adds its backoff weights from the
+    innermost outwards, b1 + (b2 + p), as NgramModel does.
     """
     n = model.order - 1
-    history = [START] * n
+    history = [START] * pads + [tok if tok in model.vocab else UNK for tok in tokens]
     logps, depth = [], 0
-    for tok in tokens:
-        word = tok if tok in model.vocab else UNK
-        ctx = tuple(history[len(history) - n :])
+    for i in range(n, len(history)):
+        ctx, word = tuple(history[i - n : i]), history[i]
         weights = []
         while ctx + (word,) not in model.probs:
             weights.append(model.backoffs.get(ctx, 0.0))
@@ -494,8 +495,7 @@ def right_folded_score(model, tokens):
             value = weight + value
         logps.append(value)
         depth = max(depth, len(weights))
-        history.append(word)
-    return math.fsum(logps) / len(logps), depth
+    return logps, depth
 
 
 # x and y never occur in CORPORA, so they are read as <unk>
@@ -521,7 +521,8 @@ def test_window_scores_equal_whole_sentence_scores():
             start, end = sorted((min(a, len(norms)), min(b, len(norms))))
             sent = (*norms[:start], *label, *norms[end:])
             whole = model.score(sent)
-            reference, depth = right_folded_score(model, sent)
+            logps, depth = backoff_walk(model, sent, order - 1)
+            reference = math.fsum(logps) / len(logps)
             assert memo.score_splice(norms, start, end, tuple(label)) == (sent, whole)
             assert whole == reference
             depths.add(depth)
@@ -529,6 +530,29 @@ def test_window_scores_equal_whole_sentence_scores():
     check()
     # the association of the backoff sum only shows on chains of two or more
     assert max(depths) >= 2
+
+
+def test_logprobs_equal_a_plain_backoff_walk_after_any_start_pads():
+    unknown = set()
+
+    @given(
+        corpus=CORPORA,
+        order=st.integers(1, 4),
+        min_count=st.integers(1, 2),
+        tokens=st.lists(WORDS, max_size=8),
+    )
+    def check(corpus, order, min_count, tokens):
+        model = train(corpus, order=order, min_count=min_count)
+        for pads in range(order):
+            expected, _ = backoff_walk(model, tokens, pads)
+            assert model.logprobs(tokens, pads) == expected
+        if tokens:
+            assert model.score(tokens) == math.fsum(model.logprobs(tokens, order - 1)) / len(tokens)
+        unknown.update((order, tok) for tok in tokens if tok not in model.vocab)
+
+    check()
+    # words outside the vocabulary were read as <unk> at every order
+    assert {order for order, _ in unknown} == {1, 2, 3, 4}
 
 
 def test_model_deeper_than_the_recursion_limit_scores(deep_arpa):

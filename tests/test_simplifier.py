@@ -348,14 +348,12 @@ class TestWindowScoring:
 
     def test_each_pass_input_scored_whole_once_per_call(self, runs, monkeypatch):
         model, inputs = runs
-        whole = Counter()
+        calls = []
         logprobs = model.logprobs
 
-        def counted(tokens, start, stop):
-            # every candidate window in this fixture is shorter than its sentence
-            if (start, stop) == (0, len(tokens)):
-                whole[tuple(tokens)] += 1
-            return logprobs(tokens, start, stop)
+        def counted(tokens, pads):
+            calls.append((tuple(tokens), pads))
+            return logprobs(tokens, pads)
 
         passes = Counter()
         simplify_once = plainterm.simplifier.simplify_once
@@ -363,6 +361,10 @@ class TestWindowScoring:
         def recorded(tokens, *args):
             passes[tuple(t.norm for t in tokens)] += 1
             return simplify_once(tokens, *args)
+
+        def scored_whole():
+            # a base is a pass input with all order - 1 start pads
+            return Counter(t for t, pads in calls if t in passes and pads == model.order - 1)
 
         monkeypatch.setattr(model, "logprobs", counted)
         monkeypatch.setattr(plainterm.simplifier, "simplify_once", recorded)
@@ -373,23 +375,26 @@ class TestWindowScoring:
         assert result.iterations >= 1
         # later passes ran, and each took its base from the pass before
         assert len(passes) >= 2 and set(passes.values()) == {1}
-        assert whole == {first: 1}
+        assert scored_whole() == {first: 1}
         # no base outlives its call
         simplify(self.STAGE_INPUT, table, model, freq, config)
-        assert whole == {first: 2}
+        assert scored_whole() == {first: 2}
 
     def test_windows_with_the_same_words_and_other_start_pads_are_kept_apart(self):
         # at order 3 the window of "b c" spliced at 1 and that of "c" spliced at 2
         # both span "x b c y z": the first after one start pad, the second after none
         model = train(["x b c y z w v m q"], order=3, min_count=1)
         memo = ScoreMemo(model, PhraseTable([]), FrequencyTable({}))
-        for norms, start, end, label in [
+        splices = [
             (("x", "m", "y", "z", "w"), 1, 2, ("b", "c")),
             (("x", "b", "q", "y", "z", "v"), 2, 3, ("c",)),
-        ]:
+        ]
+        for norms, start, end, label in splices:
             sent, score = memo.score_splice(norms, start, end, label)
             assert score == model.score(sent)
-        assert len(memo.windows) == 2
+        # each pass input's base, with two start pads, and the two windows
+        bases = {(norms, 2) for norms, *_ in splices}
+        assert set(memo.logps) == bases | {(("x", "b", "c", "y", "z"), 1), (("x", "b", "c", "y", "z"), 0)}
 
 
 class TestRankingFixture:
