@@ -362,10 +362,10 @@ def grid_search_alpha(
     Returns the best alpha (smallest on ties) and the full (alpha, sari) curve,
     one entry per grid point. One ScoreMemo serves the whole grid: tokens,
     spans, language-model scores and wf scores do not depend on alpha, so
-    each sentence is tokenized, each pass input matched, each distinct
-    sentence scored and each span's candidates scored once for the whole
-    grid; each grid point recomputes only the combined scores and their
-    argmax.
+    each sentence is tokenized, each pass input matched and each span's
+    candidates scored once for the whole grid; a scorer other than an
+    NgramModel is asked once per (pass input, span, label) row. Each grid
+    point recomputes only the combined scores and their argmax.
     """
     pairs = list(dev_pairs)
     if not pairs:

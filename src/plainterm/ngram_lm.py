@@ -53,7 +53,8 @@ class LmScorer(Protocol):
     """Anything that maps a token sequence to a mean log-probability.
 
     A scorer must be pure: the same tokens always get the same score, so a
-    caller may keep a score and never ask for it again.
+    caller may keep a score and never ask for it again. ScoreMemo asks a
+    scorer other than an NgramModel once per (pass input, span, label) row.
     """
 
     def score(self, tokens: Sequence[str]) -> float:

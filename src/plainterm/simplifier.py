@@ -43,12 +43,12 @@ class Candidate(NamedTuple):
     combined: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimplifierConfig:
     """Knobs for a simplification run.
 
     alpha weights fluency (language model) against word familiarity; 1.0 is
-    pure fluency.
+    pure fluency. A config is frozen, so its values stay the checked ones.
     """
 
     alpha: float = 0.7
@@ -123,7 +123,7 @@ class ScoreMemo:
     """Keeps what simplification computes that does not depend on alpha, and nothing else.
 
     A memo is bound to one scorer, one phrase table and one frequency table.
-    It asks the scorer once per distinct sentence and keeps every score.
+    It asks a scorer other than an NgramModel once per row (ranked, below).
     Around an NgramModel it also keeps one dict of per-position
     log-probabilities, keyed by NgramModel.logprobs's own arguments: words
     and a number of start pads. A pass input's base is its whole-sentence
@@ -148,7 +148,6 @@ class ScoreMemo:
         self.freq = freq
         # the context length of a scorer scored by windows; None asks for whole sentences
         self.n = lm.order - 1 if isinstance(lm, NgramModel) else None
-        self.scores: dict[tuple[str, ...], float] = {}
         # (words, start pads) -> NgramModel.logprobs(words, pads)
         self.logps: dict[tuple[tuple[str, ...], int], list[float]] = {}
         self.wfs: dict[Label, float] = {}
@@ -188,20 +187,15 @@ class ScoreMemo:
         matched text gives norms itself, whose score is the fsum of the base.
         fsum of the same values in any order gives the same float, so the
         score equals NgramModel.score of the sentence. Any other scorer
-        scores the whole sentence.
+        scores the whole sentence. rank_span keeps the score in its row.
         """
         sent = (*norms[:start], *label, *norms[end:])
-        score = self.scores.get(sent)
-        if score is None:
-            if self.n is not None:
-                logps = self._logprobs(norms, self.n)
-                if sent != norms:
-                    logps = self._splice(logps, sent, start, end, len(label))
-                score = math.fsum(logps) / len(sent)
-            else:
-                score = self.lm.score(sent)
-            self.scores[sent] = score
-        return sent, score
+        if self.n is None:
+            return sent, self.lm.score(sent)
+        logps = self._logprobs(norms, self.n)
+        if sent != norms:
+            logps = self._splice(logps, sent, start, end, len(label))
+        return sent, math.fsum(logps) / len(sent)
 
     def carry(self, norms: tuple[str, ...], out: tuple[str, ...], replacements: Sequence[Replacement]) -> None:
         """Give pass output out, the next pass input, a base spliced from that of its pass input norms.
@@ -305,15 +299,17 @@ def simplify(
     The reported iteration count is the number of passes that changed the
     sentence; the trace has one entry per executed pass, so a run that
     converged before the cap ends with an empty trace entry. A bare scorer
-    gets a ScoreMemo for this call, so each distinct candidate sentence is
-    scored once per call. An NgramModel scores only the first pass input
-    whole and rescores only each candidate's changed window (see
-    ScoreMemo.score_splice); after a pass that changed the sentence, when
-    another pass will run, the next input's base is carried from this one's
-    (ScoreMemo.carry). A ScoreMemo passed in keeps all of it for later
-    calls; it must be bound to this table and this frequency table, or
-    ValueError is raised. The memo holds only alpha-free values, so one memo
-    serves every alpha; rank_span computes the combined score on each call.
+    gets a ScoreMemo for this call. A scorer other than an NgramModel is
+    asked once per call for each label of each span of each distinct pass
+    input, so for the pass input itself once per span. An NgramModel scores
+    only the first pass input whole and rescores only each candidate's
+    changed window (see ScoreMemo.score_splice); after a pass that changed
+    the sentence, when another pass will run, the next input's base is
+    carried from this one's (ScoreMemo.carry). A ScoreMemo passed in keeps
+    all of it for later calls; it must be bound to this table and this
+    frequency table, or ValueError is raised. The memo holds only alpha-free
+    values, so one memo serves every alpha; rank_span computes the combined
+    score on each call.
     """
     if isinstance(lm, ScoreMemo):
         memo = lm

@@ -83,6 +83,20 @@ MUTANTS = [
         "base = self._splice(base, sent, start, end, len(words))",
         "base = self._splice(base, sent, start, end, len(words) - 1)",
     ),
+    # a candidate's mean taken over the pass input's length, not its own
+    (
+        "splice-score-over-input-length",
+        "src/plainterm/simplifier.py",
+        "math.fsum(logps) / len(sent)",
+        "math.fsum(logps) / len(norms)",
+    ),
+    # one memo entry for sentences that differ only in case, so the second gets the first's tokens
+    (
+        "tokens-memo-keyed-by-lowercase",
+        "src/plainterm/simplifier.py",
+        "tokens = memo.tokens.get(sentence)\n    if tokens is None:\n        tokens = memo.tokens[sentence] =",
+        "tokens = memo.tokens.get(sentence.lower())\n    if tokens is None:\n        tokens = memo.tokens[sentence.lower()] =",
+    ),
     (
         "rank-key-without-lm",
         "src/plainterm/simplifier.py",
@@ -167,6 +181,13 @@ MUTANTS = [
         "src/plainterm/ontology.py",
         "smallest_id[root] = min(smallest_id.get(root, concept_id), concept_id)",
         "smallest_id[root] = max(smallest_id.get(root, concept_id), concept_id)",
+    ),
+    # groups looked up by their place in the table, which is their id only when ids are 0, 1, 2, ...
+    (
+        "group-looked-up-by-position",
+        "src/plainterm/ontology.py",
+        "self._by_id = {g.group_id: g for g in self.groups}",
+        "self._by_id = dict(enumerate(self.groups))",
     ),
     # labels kept in file order, so an exact tie goes to whichever row came first
     (

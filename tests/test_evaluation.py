@@ -405,11 +405,21 @@ class TestGridSearch:
             assert shared == fresh
             assert repr(shared) == repr(fresh)
 
-    def test_each_distinct_sentence_scored_once_across_the_grid(self, tune, counting):
+    def test_each_row_scored_once_across_the_grid(self, tune, counting, over_grid):
         pairs, table, lm, freq = tune
+        # one memo over the grid, walked in grid_search_alpha's order
+        shared = counting(lm)
+        memo = ScoreMemo(shared, table, freq)
+        over_grid(pairs, table, memo, freq, default_alpha_grid())
+        once = dict(shared.calls)
+        assert sum(once.values()) == sum(map(len, memo.ranked.values()))
+        # a second walk on the same memo asks nothing
+        over_grid(pairs, table, memo, freq, default_alpha_grid())
+        assert shared.calls == once
+        # grid_search_alpha asks exactly what that memo asked: once per row
         scorer = counting(lm)
         _, curve = grid_search_alpha(pairs, table, scorer, freq)
-        assert set(scorer.calls.values()) == {1}
+        assert scorer.calls == once
         # the same curve as simplifying every pair afresh at every alpha
         assert curve == [
             (alpha, math.fsum(
@@ -420,7 +430,7 @@ class TestGridSearch:
         ]
         # and a second call reaches the scorer again
         grid_search_alpha(pairs, table, scorer, freq)
-        assert set(scorer.calls.values()) == {2}
+        assert scorer.calls == {key: 2 * n for key, n in once.items()}
 
     def test_tokens_spans_and_wf_computed_once_for_the_whole_grid(self, two_stage, monkeypatch):
         table, lm, freq = two_stage

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from plainterm.evaluation import grid_search_alpha
 from plainterm.ngram_lm import train
 from plainterm.ontology import normalize_label, read_table
-from plainterm.simplifier import SimplifierConfig, simplify
+from plainterm.simplifier import ScoreMemo, SimplifierConfig, simplify
 from plainterm.wordfreq import FrequencyTable
 
 # "e" and "f." occur in no corpus, so the model reads them as <unk>, and
@@ -21,6 +21,14 @@ LABELS = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
 CORPORA = st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4).map(" ".join), min_size=1, max_size=4)
 SENTENCE = st.lists(st.sampled_from(WORDS + ["A", "x"]), min_size=1, max_size=6).map(" ".join)
 SENTENCES = st.lists(SENTENCE, min_size=1, max_size=3)
+# sentences of one length, whose spans can sit at the same offsets
+SAME_LENGTH = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from(WORDS + ["A", "x"]), min_size=n, max_size=n).map(" ".join), min_size=1, max_size=3
+    )
+)
+# words that no sentence, corpus or LABELS label holds
+FRESH = st.lists(st.sampled_from(["g", "h", "i"]), min_size=1, max_size=4).map(" ".join)
 # a missing word takes the wf floor, so labels of absent words tie on wf
 FREQS = st.dictionaries(st.sampled_from(WORDS), st.sampled_from([0.001, 0.2, 0.5])).map(FrequencyTable)
 
@@ -95,3 +103,98 @@ def test_at_alpha_one_the_frequency_table_changes_no_final(corpus, order, labels
     for sentence in sentences:
         one, two = (simplify(sentence, table, model, freq, config) for freq in freqs)
         assert one.final == two.final
+
+
+@given(
+    corpus=CORPORA,
+    order=st.integers(1, 3),
+    labels=st.lists(LABELS, min_size=2, max_size=8, unique_by=normalize_label),
+    freq=FREQS,
+    sentences=st.tuples(SAME_LENGTH, SENTENCE).flatmap(
+        lambda drawn: st.lists(
+            st.sampled_from([*drawn[0], drawn[1], *(s.upper() for s in drawn[0])]), min_size=2, max_size=6
+        )
+    ),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    max_iterations=st.integers(1, 5),
+    rng=st.randoms(use_true_random=False),
+)
+def test_sentences_alone_in_any_order_or_through_one_memo_give_equal_results(
+    corpus, order, labels, freq, sentences, alpha, max_iterations, rng
+):
+    # README, Library: "Pass your own memo to `simplify` in place of `lm` to
+    # share it across calls", and `combined` "is the same float it would be
+    # without the memo", so no memo state may cross from one sentence to the next
+    table = read_table(table_rows(labels, []))
+    model = train(corpus, order=order, min_count=1)
+    config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
+    alone = [simplify(sentence, table, model, freq, config).to_dict() for sentence in sentences]
+    positions = list(range(len(sentences)))
+    rng.shuffle(positions)
+    shuffled = {i: simplify(sentences[i], table, model, freq, config).to_dict() for i in positions}
+    memo = ScoreMemo(model, table, freq)
+    shared = {i: simplify(sentences[i], table, memo, freq, config).to_dict() for i in positions}
+    assert [shuffled[i] for i in range(len(sentences))] == alone
+    assert [shared[i] for i in range(len(sentences))] == alone
+
+
+@given(
+    corpus=CORPORA,
+    order=st.integers(1, 3),
+    labels=st.lists(LABELS, min_size=2, max_size=8, unique_by=normalize_label),
+    fresh=st.lists(FRESH, min_size=2, max_size=3, unique=True),
+    fresh_id=st.integers(-2, 6),
+    freq=FREQS,
+    sentences=SENTENCES,
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    max_iterations=st.integers(1, 5),
+)
+def test_a_group_sharing_no_word_with_the_input_changes_no_result(
+    corpus, order, labels, fresh, fresh_id, freq, sentences, alpha, max_iterations
+):
+    # README, Library: "At each position `extract_spans` tries only those
+    # lengths, then length 1, and checks each through `lookup`, so it finds the
+    # spans that trying every length from the longest label's down would find";
+    # a group whose words no reachable sentence holds adds labels, lengths and
+    # two-word prefixes, but no span
+    rows = table_rows(labels, [])
+    taken = {int(row.split("\t")[0]) for row in rows}
+    if fresh_id in taken:
+        fresh_id = max(taken) + 1
+    table = read_table(rows)
+    grown = read_table(rows + [f"{fresh_id}\t{label}\n" for label in fresh])
+    model = train(corpus, order=order, min_count=1)
+    config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
+    for sentence in sentences:
+        assert simplify(sentence, table, model, freq, config).to_dict() == simplify(
+            sentence, grown, model, freq, config
+        ).to_dict()
+
+
+@given(
+    corpus=CORPORA,
+    order=st.integers(1, 3),
+    labels=st.lists(LABELS, min_size=2, max_size=8, unique_by=normalize_label),
+    new_ids=st.lists(st.integers(-20, 20), min_size=4, max_size=4, unique=True),
+    freq=FREQS,
+    sentences=SENTENCES,
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    max_iterations=st.integers(1, 5),
+)
+def test_renumbered_group_ids_change_only_the_traced_group_ids(
+    corpus, order, labels, new_ids, freq, sentences, alpha, max_iterations
+):
+    # README, simplify: "Candidate ranking scores `alpha * lm + (1 - alpha) * wf`
+    # ...; ties keep the lexicographically smallest term", so a group id only
+    # names a group: nothing but the trace's group_id may read it
+    rows = table_rows(labels, [])
+    renumbered = [f"{new_ids[int(gid)]}\t{rest}" for gid, rest in (row.split("\t", 1) for row in rows)]
+    table, other = read_table(rows), read_table(renumbered)
+    model = train(corpus, order=order, min_count=1)
+    config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
+    for sentence in sentences:
+        expected = simplify(sentence, table, model, freq, config).to_dict()
+        for passes in expected["trace"]:
+            for rep in passes:
+                rep["span"]["group_id"] = new_ids[rep["span"]["group_id"]]
+        assert simplify(sentence, other, model, freq, config).to_dict() == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import zlib
@@ -49,6 +50,15 @@ class TestConfig:
     def test_iteration_floor(self):
         with pytest.raises(ValueError, match="max_iterations"):
             SimplifierConfig(max_iterations=0)
+
+    def test_a_config_cannot_be_changed_past_its_checks(self):
+        # an alpha of 5 assigned after the [0, 1] check would invert the ranking
+        config = SimplifierConfig(alpha=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.alpha = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_iterations = 0
+        assert config == SimplifierConfig(alpha=1.0)
 
 
 class TestRankSpan:
@@ -273,14 +283,18 @@ class TestScoreMemo:
         table, _, freq = two_stage
         return simplify("Hyperlipidemia with elevated triglycerides .", table, lm, freq, SimplifierConfig(alpha=1.0))
 
-    def test_each_distinct_sentence_scored_once_per_call(self, two_stage, counting):
-        scorer = counting(two_stage[1])
-        result = self.run(two_stage, scorer)
+    def test_each_row_scored_once_per_call(self, two_stage, counting):
+        table, lm, freq = two_stage
+        scorer = counting(lm)
+        memo = ScoreMemo(scorer, table, freq)
+        result = self.run(two_stage, memo)
         assert result.iterations == 2
-        assert set(scorer.calls.values()) == {1}
-        # each span's keep-the-original candidate is the pass input itself
-        ranked = sum(len(rep.candidates) for passes in result.trace for rep in passes)
-        assert ranked > len(scorer.calls)
+        # exactly one call per (pass input, span, label) row, for that row's sentence
+        assert sum(scorer.calls.values()) == sum(map(len, memo.ranked.values()))
+        assert scorer.calls == Counter(sent for rows in memo.ranked.values() for _, sent, _, _ in rows)
+        # each span's keep-the-original candidate is the pass input itself,
+        # asked for once per span: the first input has two
+        assert scorer.calls[tuple(result.original.lower().split())] == 2
 
     def test_no_score_outlives_a_call(self, two_stage, counting):
         scorer = counting(two_stage[1])
@@ -293,9 +307,11 @@ class TestScoreMemo:
         table, lm, freq = two_stage
         scorer = counting(lm)
         memo = ScoreMemo(scorer, table, freq)
-        self.run(two_stage, memo)
-        self.run(two_stage, memo)
-        assert set(scorer.calls.values()) == {1}
+        first = self.run(two_stage, memo)
+        once = dict(scorer.calls)
+        assert sum(once.values()) == sum(map(len, memo.ranked.values()))
+        assert self.run(two_stage, memo) == first
+        assert scorer.calls == once
 
     def test_a_memo_serves_one_table_and_one_frequency_table(self, two_stage):
         table, lm, freq = two_stage
