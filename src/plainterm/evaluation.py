@@ -50,6 +50,8 @@ MAX_BOOTSTRAP_ITERATIONS = 10**6
 # sg_significance draws a system's judgment total as an int64, which no
 # in-memory list of unchanged pairs can overflow at this bound
 MAX_REPLICATIONS = 10**6
+# a report writes a system id as it is, so it may hold no tab and no str.splitlines line boundary
+_REPORT_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,10 @@ def simplification_gain(counts: EvalCounts) -> float:
 def _csv_rows(stream: IO[str] | Iterable[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, stripped fields) for each CSV row with as many fields as header.
 
-    Blank rows are skipped, and so is a literal header on line 1. Malformed
-    rows raise ValueError naming the line.
+    Blank rows are skipped, and so is a literal header on line 1. Malformed rows,
+    and a system_id with a tab or a line break, raise ValueError naming the line.
     """
+    system = header.index("system_id")
     reader = csv.reader(stream)
     try:
         for row in reader:
@@ -106,6 +109,8 @@ def _csv_rows(stream: IO[str] | Iterable[str], header: list[str]) -> Iterator[tu
                 continue
             if len(fields) != len(header):
                 raise ValueError(f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}")
+            if not _REPORT_BREAKS.isdisjoint(fields[system]):
+                raise ValueError(f"line {reader.line_num}: system id {fields[system]!r} contains a tab or a line break")
             yield reader.line_num, fields
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
@@ -251,8 +256,8 @@ def mean_sari(sources: Sequence[str], outputs: Sequence[str], references: Sequen
     return math.fsum(scores) / len(scores)
 
 
-def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> float:
-    """Corpus BLEU in [0, 100] with uniform weights and no smoothing.
+def bleu(outputs: Sequence[str], references: Sequence[str]) -> float:
+    """Corpus BLEU-4 in [0, 100]: uniform weights over n = 1..4 and no smoothing.
 
     Single reference per output; any n-gram level with zero matches zeroes the
     whole score, as in the original definition. An empty output line is
@@ -272,10 +277,8 @@ def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> f
     out_tokens = [o.split() for o in outputs]
     out_len = sum(len(t) for t in out_tokens)
     ref_len = sum(len(t) for t in ref_tokens)
-    if out_len == 0:
-        return 0.0
     log_precisions = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         matched = 0
         total = 0
         for out_t, ref_t in zip(out_tokens, ref_tokens):
@@ -283,11 +286,12 @@ def bleu(outputs: Sequence[str], references: Sequence[str], max_n: int = 4) -> f
             ref_counts = Counter(ngrams(ref_t, n))
             total += sum(out_counts.values())
             matched += sum(min(c, ref_counts[g]) for g, c in out_counts.items())
-        if matched == 0 or total == 0:
+        # with no output words this returns at n = 1, before the brevity penalty divides by out_len
+        if matched == 0:
             return 0.0
         log_precisions.append(math.log(matched / total))
     brevity = 1.0 if out_len > ref_len else math.exp(1.0 - ref_len / out_len)
-    return 100.0 * brevity * math.exp(math.fsum(log_precisions) / max_n)
+    return 100.0 * brevity * math.exp(math.fsum(log_precisions) / 4)
 
 
 def check_iterations(iterations: int) -> None:

@@ -72,12 +72,8 @@ class NgramModel:
 
     def logprob(self, context: Sequence[str], word: str) -> float:
         """Natural-log P(word | context), backing off through shorter contexts."""
-        ctx = tuple(context)
-        if self.order > 1:
-            ctx = ctx[-(self.order - 1) :]
-        else:
-            ctx = ()
-        return self._logprob(ctx, word)
+        # the last order - 1 words of context, none for a unigram model
+        return self._logprob(tuple(context)[max(len(context) - self.order + 1, 0) :], word)
 
     def _logprob(self, ctx: tuple[str, ...], word: str) -> float:
         # a loop, so a model of any order scores; the backoff weights are

@@ -303,8 +303,8 @@ def simplify(
     asked once per call for each label of each span of each distinct pass
     input, so for the pass input itself once per span. An NgramModel scores
     only the first pass input whole and rescores only each candidate's
-    changed window (see ScoreMemo.score_splice); after a pass that changed
-    the sentence, when another pass will run, the next input's base is
+    changed window (see ScoreMemo.score_splice); after each pass that
+    changed the sentence into one not seen before, the next input's base is
     carried from this one's (ScoreMemo.carry). A ScoreMemo passed in keeps
     all of it for later calls; it must be bound to this table and this
     frequency table, or ValueError is raised. The memo holds only alpha-free
@@ -324,17 +324,16 @@ def simplify(
     if tokens:
         norms = tuple(map(_NORM, tokens))
         seen = {norms}
-        for passes_left in range(config.max_iterations - 1, -1, -1):
-            pass_input = norms
+        for _ in range(config.max_iterations):
             tokens, replacements = simplify_once(tokens, memo, config, norms)
             trace.append(tuple(replacements))
             if not replacements:
                 break
-            norms = tuple(map(_NORM, tokens))
-            if norms in seen:
+            out = tuple(map(_NORM, tokens))
+            if out in seen:
                 break
-            seen.add(norms)
-            if passes_left:
-                memo.carry(pass_input, norms, replacements)
+            seen.add(out)
+            memo.carry(norms, out, replacements)
+            norms = out
     final = detokenize(tokens) if any(trace) else sentence
     return SimplificationResult(sentence, final, trace)

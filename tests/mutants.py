@@ -112,7 +112,7 @@ MUTANTS = [
     (
         "no-cycle-guard",
         "src/plainterm/simplifier.py",
-        "            if norms in seen:\n                break\n",
+        "            if out in seen:\n                break\n",
         "",
     ),
     (
@@ -213,6 +213,20 @@ MUTANTS = [
         "src/plainterm/textproc.py",
         "single = (1,) if max_len else ()",
         "single = ()",
+    ),
+    # a system id holding a carriage return reaches the report, which a line-based reader splits there
+    (
+        "system-id-lets-carriage-return-through",
+        "src/plainterm/evaluation.py",
+        '_REPORT_BREAKS = frozenset("\\t\\n\\r',
+        '_REPORT_BREAKS = frozenset("\\t\\n',
+    ),
+    # BLEU over orders 1 to 3, still averaged over four
+    (
+        "bleu-orders-one-to-three",
+        "src/plainterm/evaluation.py",
+        "for n in range(1, 5):\n        matched = 0",
+        "for n in range(1, 4):\n        matched = 0",
     ),
     # the sentence scores added left to right, so the mean depends on the pairs' order
     (

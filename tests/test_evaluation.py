@@ -96,6 +96,26 @@ class TestLoaders:
             load_unchanged(io.StringIO(text))
         assert str(err.value) == "line 5: duplicate unchanged pair 's3','a'"
 
+    # the report writes a system id as it is: a tab adds a TSV column, a line break splits a row
+    REPORT_BREAKS = ["\t", "\n", "\r", "\r\n", "\v", "\x1e", "\x85", "\u2028"]
+
+    @pytest.mark.parametrize("sep", REPORT_BREAKS, ids=repr)
+    def test_judgment_system_id_with_a_tab_or_line_break_is_refused(self, sep):
+        text = f's0,a b,S\ns1,"a{sep}b",S\n'
+        with pytest.raises(ValueError) as err:
+            load_judgments(io.StringIO(text))
+        # the csv reader names the line a row ends on
+        line_no = 2 + sep.count("\n")
+        assert str(err.value) == f"line {line_no}: system id {'a' + sep + 'b'!r} contains a tab or a line break"
+
+    @pytest.mark.parametrize("sep", REPORT_BREAKS, ids=repr)
+    def test_unchanged_system_id_with_a_tab_or_line_break_is_refused(self, sep):
+        text = f'sentence_id,system_id\ns0,a b\ns1,"a{sep}b"\n'
+        with pytest.raises(ValueError) as err:
+            load_unchanged(io.StringIO(text))
+        line_no = 3 + sep.count("\n")
+        assert str(err.value) == f"line {line_no}: system id {'a' + sep + 'b'!r} contains a tab or a line break"
+
 
 class TestAggregate:
     def test_tallies_by_system(self):
@@ -248,12 +268,13 @@ class TestBleu:
         assert bleu(["a b c d e"], ["a b c f e"]) == 0.0
 
     def test_clipping(self):
-        # "the" appears once in the reference, so only one of three counts
-        assert bleu(["the the the"], ["the cat"], max_n=1) == pytest.approx(100 / 3, abs=1e-9)
+        # "a" appears once in the reference, so only one of three counts: the
+        # precisions are 5/7, 4/6, 3/5 and 2/4, whose product is 1/7
+        assert bleu(["a a a b c d e"], ["a b c d e"]) == pytest.approx(100 * 7**-0.25, abs=1e-9)
 
     def test_brevity_penalty(self):
-        score = bleu(["a b"], ["a b c d"], max_n=2)
-        assert score == pytest.approx(100 * math.exp(1 - 4 / 2), abs=1e-9)
+        score = bleu(["a b c d"], ["a b c d e f"])
+        assert score == pytest.approx(100 * math.exp(1 - 6 / 4), abs=1e-9)
 
     def test_corpus_level_pooling(self):
         # matches and totals pool over the corpus before the ratio is taken
@@ -272,8 +293,8 @@ class TestBleu:
     def test_blank_reference_names_its_line(self):
         with pytest.raises(ValueError, match=r"^line 2: empty reference$"):
             bleu(["a b", "", "c"], ["a b", " \t", ""])
-        # an empty output line is still scored
-        assert bleu(["a b", ""], ["a b", "c"], max_n=1) == pytest.approx(100 * math.exp(1 - 3 / 2), abs=1e-9)
+        # an empty output line is still scored: its reference counts towards the brevity penalty
+        assert bleu(["a b c d", ""], ["a b c d", "e"]) == pytest.approx(100 * math.exp(1 - 5 / 4), abs=1e-9)
 
     def test_matches_oracle_on_random_cases(self):
         rng = random.Random(77)
@@ -290,17 +311,21 @@ class TestBleu:
 def test_bleu_equals_frozen_slice_counting():
     rng = random.Random(78)
     vocab = ["a", "b", "c", "."]
+    nonzero = 0
     for _ in range(300):
         n = rng.randint(1, 4)
-        outputs = [" ".join(rng.choices(vocab, k=rng.randint(0, 9))) for _ in range(n)]
-        references = [" ".join(rng.choices(vocab, k=rng.randint(0, 9))) for _ in range(n)]
-        max_n = rng.randint(1, 4)
+        # lines up to 20 words long, so that some cases share 4-grams and score above 0
+        outputs = [" ".join(rng.choices(vocab, k=rng.randint(0, 20))) for _ in range(n)]
+        references = [" ".join(rng.choices(vocab, k=rng.randint(0, 20))) for _ in range(n)]
         blank = [line_no for line_no, ref in enumerate(references, start=1) if not ref]
         if blank:
             with pytest.raises(ValueError, match=f"^line {blank[0]}: empty reference$"):
-                bleu(outputs, references, max_n)
+                bleu(outputs, references)
         else:
-            assert bleu(outputs, references, max_n) == frozen_bleu(outputs, references, max_n)
+            score = bleu(outputs, references)
+            assert score == frozen_bleu(outputs, references)
+            nonzero += score > 0
+    assert nonzero >= 50
 
 
 class TestSignificance:
