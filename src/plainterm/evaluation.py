@@ -98,22 +98,26 @@ def _csv_rows(stream: IO[str] | Iterable[str], header: list[str]) -> Iterator[tu
     """Yield (line_no, stripped fields) for each CSV row with as many fields as header.
 
     Blank rows are skipped, and so is a literal header on line 1. Malformed rows,
-    and a system_id with a tab or a line break, raise ValueError naming the line.
+    and a system_id with a tab or a line break, raise ValueError naming the
+    line the row starts on, which a quoted line break makes differ from the
+    line it ends on.
     """
     system = header.index("system_id")
     reader = csv.reader(stream)
+    start = 1
     try:
         for row in reader:
+            line_no, start = start, reader.line_num + 1
             fields = [cell.strip() for cell in row]
-            if not any(fields) or (reader.line_num == 1 and fields == header):
+            if not any(fields) or (line_no == 1 and fields == header):
                 continue
             if len(fields) != len(header):
-                raise ValueError(f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}")
+                raise ValueError(f"line {line_no}: expected {len(header)} fields, got {len(fields)}")
             if not _REPORT_BREAKS.isdisjoint(fields[system]):
-                raise ValueError(f"line {reader.line_num}: system id {fields[system]!r} contains a tab or a line break")
-            yield reader.line_num, fields
+                raise ValueError(f"line {line_no}: system id {fields[system]!r} contains a tab or a line break")
+            yield line_no, fields
     except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+        raise ValueError(f"line {start}: {exc}") from None
 
 
 def load_judgments(stream: IO[str] | Iterable[str]) -> list[JudgmentRecord]:

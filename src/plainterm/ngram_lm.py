@@ -10,12 +10,11 @@ per observed context, and the standard ARPA text format on disk.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from .textproc import ngrams, open_text, rows, tokenize
+from .textproc import open_text, rows, tokenize
 
 __all__ = [
     "START",
@@ -61,30 +60,89 @@ class LmScorer(Protocol):
         ...
 
 
-@dataclass
 class NgramModel:
-    """Backoff model: natural-log probs per n-gram, natural-log backoff per context."""
+    """Backoff model: natural-log probs per n-gram, natural-log backoff per context.
 
-    order: int
-    probs: dict[tuple[str, ...], float]
-    backoffs: dict[tuple[str, ...], float]
-    vocab: frozenset[str]
+    Every word has an id from 1 to V in sorted str order, and with B = V + 1
+    the n-gram w1..wk is keyed by the one int ((w1 * B + w2) * B + ...) * B + wk.
+    Its context is then key // B and its lower-order gram key % B ** (k - 1).
+    No id is 0, so a k-gram's key lies in [B ** (k - 1), B ** k): keys of
+    different lengths never collide, and keys of one length sort as their
+    word tuples do. probs and backoffs are read-only views of the packed
+    dicts, keyed by word tuple.
+    """
+
+    def __init__(
+        self,
+        order: int,
+        probs: Mapping[tuple[str, ...], float],
+        backoffs: Mapping[tuple[str, ...], float],
+        vocab: frozenset[str],
+    ) -> None:
+        """A model over tuple-keyed dicts, kept in their order.
+
+        A key may hold a word outside vocab; when scored, such a word is read
+        as the unknown symbol like any other.
+        """
+        table = _IdTable(vocab.union(*probs, *backoffs))
+        packed = {table.pack(gram): prob for gram, prob in probs.items()}
+        # each context keyed by the int that keys it in probs, when it has one
+        key_of = {key: key for key in packed}
+        contexts = (table.pack(ctx) for ctx in backoffs)
+        weights = {key_of.get(key, key): weight for key, weight in zip(contexts, backoffs.values())}
+        self._set(order, table, packed, weights, vocab)
+
+    @classmethod
+    def _packed(
+        cls, order: int, table: _IdTable, probs: dict[int, float], backoffs: dict[int, float], vocab: frozenset[str]
+    ) -> NgramModel:
+        """A model over dicts already keyed by the packed ints of table."""
+        model = cls.__new__(cls)
+        model._set(order, table, probs, backoffs, vocab)
+        return model
+
+    def _set(
+        self, order: int, table: _IdTable, probs: dict[int, float], backoffs: dict[int, float], vocab: frozenset[str]
+    ) -> None:
+        self.order, self.vocab, self._table = order, vocab, table
+        self._probs, self._backoffs = probs, backoffs
+        self.probs: Mapping[tuple[str, ...], float] = _TupleView(probs, table)
+        self.backoffs: Mapping[tuple[str, ...], float] = _TupleView(backoffs, table)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NgramModel):
+            return NotImplemented
+        # equal vocabularies and keys give equal id tables
+        mine = (self.order, self.vocab, self._table.words, self._probs, self._backoffs)
+        return mine == (other.order, other.vocab, other._table.words, other._probs, other._backoffs)
 
     def logprob(self, context: Sequence[str], word: str) -> float:
         """Natural-log P(word | context), backing off through shorter contexts."""
-        # the last order - 1 words of context, none for a unigram model
-        return self._logprob(tuple(context)[max(len(context) - self.order + 1, 0) :], word)
+        ids, base = self._table.ids, self._table.base
+        if word not in ids:
+            raise ValueError(f"word {word!r} not in model vocabulary")
+        # the last order - 1 context words; a word with no id is in no key,
+        # so the context that is looked up starts after it
+        key = k = 0
+        for w in (*tuple(context)[max(len(context) - self.order + 1, 0) :], word):
+            if (word_id := ids.get(w)) is None:
+                key = k = 0
+            else:
+                key, k = key * base + word_id, k + 1
+        return self._logprob(key, k)
 
-    def _logprob(self, ctx: tuple[str, ...], word: str) -> float:
+    def _logprob(self, key: int, k: int) -> float:
         # a loop, so a model of any order scores; the backoff weights are
         # added innermost first, b1 + (b2 + p), since float addition does not
         # associate and rankings depend on exact scores
+        probs, base = self._probs, self._table.base
         weights = []
-        while (prob := self.probs.get(ctx + (word,))) is None:
-            if not ctx:
-                raise ValueError(f"word {word!r} not in model vocabulary")
-            weights.append(self.backoffs.get(ctx, 0.0))
-            ctx = ctx[1:]
+        while (prob := probs.get(key)) is None:
+            if k == 1:
+                raise ValueError(f"word {self._table.words[key]!r} not in model vocabulary")
+            weights.append(self._backoffs.get(key // base, 0.0))
+            k -= 1
+            key %= base**k
         while weights:
             prob = weights.pop() + prob
         return prob
@@ -96,24 +154,92 @@ class NgramModel:
         vocabulary is read as the unknown symbol.
         """
         n = self.order - 1
-        history = [START] * pads
-        vocab = self.vocab
+        ids, base, vocab = self._table.ids, self._table.base, self.vocab
+        history = [ids[START]] * pads
         for tok in tokens:
             if tok in vocab:
-                history.append(tok)
+                history.append(ids[tok])
             elif UNK in vocab:
-                history.append(UNK)
+                history.append(ids[UNK])
             else:
                 raise ValueError(f"word {tok!r} not in model vocabulary and model has no {UNK}")
-        # words[j : j + n] is the context of words[j + n], taken in one slice
-        words = tuple(history)
-        return [self._logprob(words[j : j + n], words[j + n]) for j in range(len(words) - n)]
+        key = 0
+        for word_id in history[:n]:
+            key = key * base + word_id
+        # each key keeps the last n ids and appends the next, packing an (n + 1)-gram
+        top = base**n
+        logps = []
+        for word_id in history[n:]:
+            key = key % top * base + word_id
+            logps.append(self._logprob(key, n + 1))
+        return logps
 
     def score(self, tokens: Sequence[str]) -> float:
         """Mean natural-log probability of the tokens, start-padded, no end term."""
         if not tokens:
             raise ValueError("cannot score empty sequence")
         return math.fsum(self.logprobs(tokens, self.order - 1)) / len(tokens)
+
+
+class _IdTable:
+    """Ids 1 to V for a model's words and the start symbol, in sorted str order, and B = V + 1.
+
+    Every model can then pad with the start symbol, which is in no key when
+    the model has no entry for it. Each word is held as the str it was given.
+    """
+
+    __slots__ = ("ids", "words", "base")
+
+    def __init__(self, words: Iterable[str]) -> None:
+        ordered = sorted({*words, START})
+        self.ids = {word: i for i, word in enumerate(ordered, start=1)}
+        # words[i] is the word of id i; no word has id 0
+        self.words: tuple[str | None, ...] = (None, *ordered)
+        self.base = len(self.words)
+
+    def pack(self, gram: tuple[str, ...]) -> int | None:
+        """The key of gram, or None if a word of it has no id."""
+        ids, base = self.ids, self.base
+        key = 0
+        for word in gram:
+            if (word_id := ids.get(word)) is None:
+                return None
+            key = key * base + word_id
+        return key
+
+    def unpack(self, key: int) -> tuple[str, ...]:
+        words, base = self.words, self.base
+        gram = []
+        while key:
+            key, word_id = divmod(key, base)
+            gram.append(words[word_id])
+        gram.reverse()
+        return tuple(gram)
+
+
+class _TupleView(Mapping[tuple[str, ...], float]):
+    """Read-only view of one of a model's packed dicts, keyed by word tuple.
+
+    It holds the model's id table, not the model, so that no reference cycle
+    keeps a model nothing else uses from being freed at once.
+    """
+
+    __slots__ = ("_packed", "_table")
+
+    def __init__(self, packed: dict[int, float], table: _IdTable) -> None:
+        self._packed, self._table = packed, table
+
+    def __getitem__(self, gram: tuple[str, ...]) -> float:
+        key = self._table.pack(gram) if isinstance(gram, tuple) else None
+        if key is None or (value := self._packed.get(key)) is None:
+            raise KeyError(gram)
+        return value
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return map(self._table.unpack, self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
 
 
 class LookupScorer:
@@ -185,7 +311,7 @@ def train(
     turned into probabilities before the next order is counted.
     """
     check_train_settings(order, discount, min_count)
-    # one str per distinct word, so every n-gram that holds a word shares it
+    # one str per distinct word while the corpus is held as words
     pooled = {STOP: STOP, UNK: UNK}.setdefault
     sentences = [list(map(pooled, words, words)) for words in map(str.split, corpus)]
     raw_counts: Counter[str] = Counter()
@@ -200,49 +326,56 @@ def train(
         raise ValueError("no training data")
 
     keep = {w for w, c in raw_counts.items() if c >= min_count}
-    vocab = keep | {START, STOP, UNK}
+    vocab = frozenset(keep | {START, STOP, UNK})
+    table = _IdTable(vocab)
+    ids, base = table.ids, table.base
+    pad, stop, unk = ids[START], ids[STOP], ids[UNK]
     for i, words in enumerate(sentences):
-        sentences[i] = [START] * (order - 1) + [w if w in keep else UNK for w in words] + [STOP]
+        sentences[i] = [pad] * (order - 1) + [ids[w] if w in keep else unk for w in words] + [stop]
 
-    predicted = sorted(vocab - {START})
+    # every id but the start symbol's is predicted, in sorted word order
+    predicted = [word_id for word_id in ids.values() if word_id != pad]
     uniform = 1.0 / len(predicted)
 
-    probs: dict[tuple[str, ...], float] = {}
-    backoffs: dict[tuple[str, ...], float] = {}
+    probs: dict[int, float] = {}
+    backoffs: dict[int, float] = {}
     # one float per distinct backoff weight; lam < 1, so no weight is 0.0 or
     # -0.0, which compare equal but are not the same float
     weights: dict[float, float] = {}
     for k in range(1, order + 1):
         # the k-grams of padded[order - k:] are those ending on a predicted position
-        counts: Counter[tuple[str, ...]] = Counter()
+        counts: Counter[int] = Counter()
         for padded in sentences:
-            counts.update(ngrams(padded[order - k :], k))
-        # each context is keyed by the tuple that keys it in probs, when it has
-        # one; the map goes before probs grows by this order
-        contexts = {gram: gram for gram in probs if len(gram) == k - 1}
-        totals: dict[tuple[str, ...], int] = defaultdict(int)
-        types: dict[tuple[str, ...], int] = defaultdict(int)
+            counts.update(_packed_ngrams(padded[order - k :], k, base))
+        # a k-gram's key is in [top, top * base), and key % top drops its first word
+        top = base ** (k - 1)
+        # each context is keyed by the int that keys it in probs, when it has
+        # one: the (k - 1)-grams, the longest keys so far; the map goes before
+        # probs grows by this order
+        contexts = {key: key for key in probs if key >= top // base}
+        totals: dict[int, int] = defaultdict(int)
+        types: dict[int, int] = defaultdict(int)
         for gram, count in counts.items():
-            ctx = gram[:-1]
+            ctx = gram // base
             ctx = contexts.get(ctx, ctx)
             totals[ctx] += count
             types[ctx] += 1
         del contexts
 
         if k == 1:
-            total = totals[()]
-            lam = discount * types[()] / total
-            for word in predicted:
-                count = counts.get((word,), 0)
+            total = totals[0]
+            lam = discount * types[0] / total
+            for word_id in predicted:
+                count = counts.get(word_id, 0)
                 prob = max(count - discount, 0.0) / total + lam * uniform
-                probs[(word,)] = math.log(prob)
-            probs[(START,)] = _PLACEHOLDER_LOG10 * _LN10
+                probs[word_id] = math.log(prob)
+            probs[pad] = _PLACEHOLDER_LOG10 * _LN10
         else:
             for gram, count in counts.items():
-                ctx = gram[:-1]
+                ctx = gram // base
                 total = totals[ctx]
                 lam = discount * types[ctx] / total
-                lower = math.exp(probs[gram[1:]])
+                lower = math.exp(probs[gram % top])
                 prob = max(count - discount, 0.0) / total + lam * lower
                 probs[gram] = math.log(prob)
             for ctx, total in totals.items():
@@ -254,38 +387,49 @@ def train(
                     # but still need an entry to carry their backoff weight
                     probs[ctx] = _PLACEHOLDER_LOG10 * _LN10
 
-    return NgramModel(order, probs, backoffs, frozenset(vocab))
+    return NgramModel._packed(order, table, probs, backoffs, vocab)
+
+
+def _packed_ngrams(ids: list[int], n: int, base: int) -> list[int]:
+    """The packed keys of the n-grams of ids, in order of position."""
+    grams = ids[: len(ids) - n + 1]
+    for i in range(1, n):
+        grams = [key * base + word_id for key, word_id in zip(grams, ids[i:])]
+    return grams
 
 
 def save_arpa(model: NgramModel, stream: IO[str]) -> None:
     """Write the model in ARPA text format (log10, tab-separated).
 
-    Each section lists its n-grams in tuple order: stable sorts on each word
-    from the last to the first give that order, comparing plain strings
-    instead of tuples, in place.
+    Each section lists its n-grams in tuple order, which is the numeric order
+    of their keys.
     """
-    by_order: dict[int, list[tuple[str, ...]]] = defaultdict(list)
-    for gram in model.probs:
-        by_order[len(gram)].append(gram)
-    probs, backoffs = model.probs, model.backoffs
+    probs, backoffs, table = model._probs, model._backoffs, model._table
+    keys = sorted(probs)
+    # the k-gram keys are keys[bounds[k - 1] : bounds[k]], those in [base ** (k - 1), base ** k)
+    bounds = [bisect_left(keys, table.base**k) for k in range(model.order + 1)]
 
-    def lines(grams: Iterable[tuple[str, ...]]) -> Iterator[str]:
-        for gram in grams:
-            backoff = backoffs.get(gram)
+    def lines(grams: Iterable[int]) -> Iterator[str]:
+        # sorted keys come grouped by context, so each context's words are joined once
+        base, words, unpack = table.base, table.words, table.unpack
+        last, prefix = None, ""
+        for key in grams:
+            ctx, word_id = divmod(key, base)
+            if ctx != last:
+                last, prefix = ctx, " ".join((*unpack(ctx), ""))
+            text = prefix + words[word_id]
+            backoff = backoffs.get(key)
             if backoff is None:
-                yield f"{probs[gram] / _LN10!r}\t{' '.join(gram)}\n"
+                yield f"{probs[key] / _LN10!r}\t{text}\n"
             else:
-                yield f"{probs[gram] / _LN10!r}\t{' '.join(gram)}\t{backoff / _LN10!r}\n"
+                yield f"{probs[key] / _LN10!r}\t{text}\t{backoff / _LN10!r}\n"
 
     stream.write("\\data\\\n")
     for k in range(1, model.order + 1):
-        stream.write(f"ngram {k}={len(by_order.get(k, []))}\n")
+        stream.write(f"ngram {k}={bounds[k] - bounds[k - 1]}\n")
     for k in range(1, model.order + 1):
         stream.write(f"\n\\{k}-grams:\n")
-        grams = by_order.get(k, [])
-        for i in reversed(range(k)):
-            grams.sort(key=itemgetter(i))
-        stream.writelines(lines(grams))
+        stream.writelines(lines(keys[bounds[k - 1] : bounds[k]]))
     stream.write("\n\\end\\\n")
 
 
@@ -303,9 +447,9 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
     """Parse an ARPA file back into a model; errors name the offending line.
 
     Reads the stream once. Blank lines are ignored anywhere, every value must
-    be finite, and an n-gram may not repeat within its section. All n-grams
-    that hold a word hold the same str object for it, and all contexts whose
-    backoff weight has the same text hold the same float.
+    be finite, an n-gram may not repeat within its section, and every word of
+    a higher-order n-gram must have a 1-gram entry. All contexts whose backoff
+    weight has the same text hold the same float.
     """
     numbered = enumerate(stream, start=1)
     line_no, _, stripped = _next_line(numbered, 0)
@@ -329,11 +473,9 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
     if min(declared) < 1 or len(declared) != max_order:
         raise ValueError(f"line {last_declaration}: ngram count declarations must cover orders 1..N")
 
-    probs: dict[tuple[str, ...], float] = {}
-    backoffs: dict[tuple[str, ...], float] = {}
-    # one str per distinct word; after the 1-gram section its keys are the vocabulary
-    words: dict[str, str] = {}
-    pooled = words.setdefault
+    # keyed by word in the 1-gram section, by packed int after it
+    probs: dict[str | int, float] = {}
+    backoffs: dict[str | int, float] = {}
     # one float per distinct backoff text, stored once the text has passed its checks
     backoff_of: dict[str, float] = {}
     for k in range(1, max_order + 1):
@@ -365,9 +507,17 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
             gram = fields[1].split(" ")
             if len(gram) != k or not all(gram):
                 raise ValueError(f"line {line_no}: expected a {k}-gram, got {fields[1]!r}")
-            gram = tuple(map(pooled, gram, gram))
+            if k == 1:
+                key = gram[0]
+            else:
+                # table.pack's fold, inline: a call per line costs about 7 % of a load
+                key = 0
+                for word in gram:
+                    if (word_id := ids.get(word)) is None:
+                        raise ValueError(f"line {line_no}: word {word!r} of {k}-gram {fields[1]!r} has no 1-gram entry")
+                    key = key * base + word_id
             prob = log10_prob * _LN10
-            if probs.setdefault(gram, prob) is not prob:
+            if probs.setdefault(key, prob) is not prob:
                 raise ValueError(f"line {line_no}: duplicate {k}-gram {fields[1]!r}")
             if len(fields) == 3:
                 backoff = backoff_of.get(fields[2])
@@ -379,7 +529,7 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
                     if not -math.inf < log10_backoff < math.inf:
                         raise ValueError(f"line {line_no}: backoff weight must be finite, got {fields[2]!r}")
                     backoff = backoff_of[fields[2]] = log10_backoff * _LN10
-                backoffs[gram] = backoff
+                backoffs[key] = backoff
         else:
             # the end of input ends the last section too
             line_no, stripped = line_no + 1, ""
@@ -389,10 +539,15 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
                 f"line {line_no}: {k}-gram count mismatch, header declares {declared[k]} but section has {seen}"
             )
         if k == 1:
-            vocab = frozenset(words)
+            # the 1-grams are the vocabulary; each is re-keyed by its id, in file order
+            vocab = frozenset(probs)
+            table = _IdTable(probs)
+            ids, base = table.ids, table.base
+            probs = {ids[word]: prob for word, prob in probs.items()}
+            backoffs = {ids[word]: backoff for word, backoff in backoffs.items()}
     if stripped != "\\end\\":
         raise ValueError(f"line {line_no}: missing \\end\\ terminator")
-    return NgramModel(max_order, probs, backoffs, vocab)
+    return NgramModel._packed(max_order, table, probs, backoffs, vocab)
 
 
 def load_scorer(path: str) -> LmScorer:

@@ -68,8 +68,8 @@ MUTANTS = [
     (
         "logprobs-ignores-pads",
         "src/plainterm/ngram_lm.py",
-        "history = [START] * pads",
-        "history = [START] * n",
+        "history = [ids[START]] * pads",
+        "history = [ids[START]] * n",
     ),
     (
         "carry-splices-chosen",
@@ -161,14 +161,37 @@ MUTANTS = [
     (
         "train-contexts-from-wrong-order",
         "src/plainterm/ngram_lm.py",
-        "contexts = {gram: gram for gram in probs if len(gram) == k - 1}",
-        "contexts = {gram: gram for gram in probs if len(gram) == k}",
+        "contexts = {key: key for key in probs if key >= top // base}",
+        "contexts = {key: key for key in probs if key >= top}",
     ),
     (
         "train-backoff-weights-not-pooled",
         "src/plainterm/ngram_lm.py",
         "backoffs[ctx] = weights.setdefault(backoff, backoff)",
         "backoffs[ctx] = backoff",
+    ),
+    # B ** k in place of B ** (k - 1): a k-gram's key % B ** k drops no word,
+    # so train reads a lower-order gram that is not there
+    (
+        "train-lower-gram-drops-no-word",
+        "src/plainterm/ngram_lm.py",
+        "top = base ** (k - 1)",
+        "top = base ** k",
+    ),
+    # B = V, so the largest id carries into the next digit: keys of different lengths mix
+    (
+        "base-equal-to-vocabulary-size",
+        "src/plainterm/ngram_lm.py",
+        "self.base = len(self.words)",
+        "self.base = len(self.words) - 1",
+    ),
+    # ids in the order the words come, which for a loaded model is its 1-gram
+    # section's, so save_arpa's int sort follows the file
+    (
+        "ids-in-file-order",
+        "src/plainterm/ngram_lm.py",
+        "ordered = sorted({*words, START})",
+        "ordered = list(dict.fromkeys([*words, START]))",
     ),
     (
         "align-without-union",

@@ -85,6 +85,13 @@ class TestLoaders:
         with pytest.raises(ValueError, match="line 2: field larger than field limit"):
             load_unchanged(io.StringIO(text))
 
+    def test_unterminated_quoted_field_names_the_line_its_row_starts_on(self):
+        # the open quote takes in the next line and the end of the file, so the row has two fields
+        text = 's1,human,S\n\ns2,"open\nmore,S\n'
+        with pytest.raises(ValueError) as err:
+            load_judgments(io.StringIO(text))
+        assert str(err.value) == "line 3: expected 3 fields, got 2"
+
     def test_load_unchanged(self):
         flags = load_unchanged(io.StringIO("sentence_id,system_id\ns1,human\ns2,ngram\n"))
         assert flags == [("s1", "human"), ("s2", "ngram")]
@@ -104,17 +111,15 @@ class TestLoaders:
         text = f's0,a b,S\ns1,"a{sep}b",S\n'
         with pytest.raises(ValueError) as err:
             load_judgments(io.StringIO(text))
-        # the csv reader names the line a row ends on
-        line_no = 2 + sep.count("\n")
-        assert str(err.value) == f"line {line_no}: system id {'a' + sep + 'b'!r} contains a tab or a line break"
+        # the row starts on line 2, wherever its quoted line break ends it
+        assert str(err.value) == f"line 2: system id {'a' + sep + 'b'!r} contains a tab or a line break"
 
     @pytest.mark.parametrize("sep", REPORT_BREAKS, ids=repr)
     def test_unchanged_system_id_with_a_tab_or_line_break_is_refused(self, sep):
         text = f'sentence_id,system_id\ns0,a b\ns1,"a{sep}b"\n'
         with pytest.raises(ValueError) as err:
             load_unchanged(io.StringIO(text))
-        line_no = 3 + sep.count("\n")
-        assert str(err.value) == f"line {line_no}: system id {'a' + sep + 'b'!r} contains a tab or a line break"
+        assert str(err.value) == f"line 3: system id {'a' + sep + 'b'!r} contains a tab or a line break"
 
 
 class TestAggregate:

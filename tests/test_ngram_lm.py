@@ -267,6 +267,16 @@ class TestArpa:
         with pytest.raises(ValueError, match="line 6: duplicate 1-gram 'the'"):
             load_arpa(io.StringIO(text))
 
+    @pytest.mark.parametrize("gram", ["cat dog", "the cat"])
+    def test_rejects_a_word_with_no_unigram_entry(self, gram):
+        # the model would read cat as <unk>, so the entry could never be scored
+        text = self.arpa_text().replace("ngram 1=2\n", "ngram 1=2\nngram 2=2\n")
+        text = text.replace("\n\\end", f"\n\\2-grams:\n-0.1\tthe dog\n-0.2\t{gram}\n\n\\end")
+        with pytest.raises(ValueError) as err:
+            load_arpa(io.StringIO(text))
+        assert str(err.value) == f"line 11: word 'cat' of 2-gram {gram!r} has no 1-gram entry"
+        assert load_arpa(io.StringIO(text.replace(gram, "dog the"))).probs[("dog", "the")] == -0.2 * LN10
+
 
 CORPORA = st.lists(
     st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6).map(" ".join), min_size=1, max_size=8
@@ -295,6 +305,23 @@ def test_arpa_round_trip_on_random_models(corpus, order, discount, min_count):
     again = io.StringIO()
     save_arpa(loaded, again)
     assert again.getvalue() == text
+    # a file need not list its n-grams in order; the ids still follow the sorted words
+    again = io.StringIO()
+    save_arpa(load_arpa(io.StringIO(reverse_sections(text))), again)
+    assert again.getvalue() == text
+
+
+def reverse_sections(text):
+    """ARPA text with the entries of each section in reverse order."""
+    lines, entries = [], []
+    for line in text.splitlines(keepends=True):
+        if "\t" in line:
+            entries.append(line)
+        else:
+            lines += reversed(entries)
+            entries = []
+            lines.append(line)
+    return "".join(lines + entries[::-1])
 
 
 # a few common words and several rare ones, so min_count maps some to <unk>;
@@ -339,18 +366,30 @@ def shared_words_model(loaded):
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["train", "load_arpa"])
 def test_every_ngram_holds_one_str_per_word(loaded):
+    # the id table holds each word's str once; the vocabulary and the views' tuples share it
     model = shared_words_model(loaded)
     canon = {}
-    keys = [*model.probs, *model.backoffs, *((w,) for w in model.vocab)]
+    table = model._table
+    keys = [*model.probs, *model.backoffs, *((w,) for w in model.vocab), table.words[1:], tuple(table.ids)]
     assert all(canon.setdefault(w, w) is w for key in keys for w in key)
+    assert len(canon) == len(table.ids)
+
+
+# more words, so that most 2-gram keys pass 256, the largest int CPython keeps one object for
+SHARED_KEYS_CORPUS = [*SHARED_WORDS_CORPUS, " ".join(f"w{i:02}" for i in range(24))]
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["train", "load_arpa"])
 def test_every_backoff_shares_its_probs_key_and_its_weight(loaded):
-    model = shared_words_model(loaded)
-    key_of = {key: key for key in model.probs}
+    model = train(SHARED_KEYS_CORPUS, order=3, min_count=1)
+    if loaded:
+        buf = io.StringIO()
+        save_arpa(model, buf)
+        model = load_arpa(io.StringIO(buf.getvalue()))
+    key_of = {key: key for key in model._probs}
     assert {len(ctx) for ctx in model.backoffs} == {1, 2}
-    assert all(key_of[ctx] is ctx for ctx in model.backoffs)
+    assert sum(ctx > 256 for ctx in model._backoffs) > 10
+    assert all(key_of[ctx] is ctx for ctx in model._backoffs)
     canon = {}
     assert all(canon.setdefault(w, w) is w for w in model.backoffs.values())
     # some weights repeat, so the pooling is exercised
@@ -462,7 +501,8 @@ ARPA_GRAMS = [gram for k in (1, 2, 3) for gram in itertools.product(ARPA_WORDS, 
 
 @given(grams=st.lists(st.sampled_from(ARPA_GRAMS), max_size=12, unique=True), extra_orders=st.integers(0, 1))
 def test_save_arpa_bytes_equal_a_tuple_sorted_writer(grams, extra_orders):
-    # a higher-order word need not be a unigram, as in a loaded ARPA file
+    # a higher-order word need not be a unigram: the constructor takes one,
+    # though load_arpa refuses it
     order = max(map(len, grams), default=1) + extra_orders
     probs = {gram: -(i + 1) / 7 for i, gram in enumerate(grams)}
     backoffs = {gram: -(i + 1) / 3 for i, gram in enumerate(grams) if i % 2}
@@ -553,6 +593,48 @@ def test_logprobs_equal_a_plain_backoff_walk_after_any_start_pads():
     check()
     # words outside the vocabulary were read as <unk> at every order
     assert {order for order, _ in unknown} == {1, 2, 3, 4}
+
+
+@st.composite
+def models_and_dicts(draw):
+    """(model, the tuple-keyed probs and backoffs it holds), from train or from the constructor.
+
+    A constructed model has a 1-gram for every vocabulary word and <unk>, and
+    its other keys may hold words outside the vocabulary, in any order.
+    """
+    if draw(st.booleans()):
+        corpus, order, min_count = draw(CORPORA), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+        _, probs, backoffs, _ = frozen_train(corpus, order=order, min_count=min_count)
+        return train(corpus, order=order, min_count=min_count), probs, backoffs
+    vocab = {*draw(st.lists(st.sampled_from(ARPA_WORDS), unique=True)), UNK}
+    higher = draw(st.lists(st.sampled_from(ARPA_GRAMS[len(ARPA_WORDS) :]), max_size=12, unique=True))
+    grams = draw(st.permutations([(w,) for w in sorted(vocab)] + higher))
+    contexts = draw(st.lists(st.sampled_from(ARPA_GRAMS[: -(len(ARPA_WORDS) ** 3)]), max_size=8, unique=True))
+    probs = {gram: -(i + 1) / 7 for i, gram in enumerate(grams)}
+    backoffs = {ctx: -(i + 1) / 3 for i, ctx in enumerate(contexts)}
+    return NgramModel(3, probs, backoffs, frozenset(vocab)), probs, backoffs
+
+
+def test_views_read_the_packed_dicts_as_the_tuple_dicts_they_came_from():
+    outside = set()
+
+    @given(drawn=models_and_dicts(), tokens=st.lists(st.sampled_from([*ARPA_WORDS, "x"]), max_size=6))
+    def check(drawn, tokens):
+        model, probs, backoffs = drawn
+        for view, tuples in [(model.probs, probs), (model.backoffs, backoffs)]:
+            assert list(view.items()) == list(tuples.items())
+            assert view == tuples and len(view) == len(tuples)
+            assert ("x",) not in view and "a" not in view and view.get((), -1.0) == -1.0
+            with pytest.raises(TypeError):
+                view[("a",)] = 0.0
+        for pads in range(model.order):
+            expected, _ = backoff_walk(model, tokens, pads)
+            assert model.logprobs(tokens, pads) == expected
+        # a word of a higher-order key that is not in the vocabulary is read as <unk>
+        outside.update(tok for tok in tokens if tok not in model.vocab and any(tok in gram for gram in probs))
+
+    check()
+    assert outside
 
 
 def test_model_deeper_than_the_recursion_limit_scores(deep_arpa):
