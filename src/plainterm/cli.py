@@ -179,7 +179,8 @@ def _parse_grid(spec: str) -> list[float]:
         if ":" in spec:
             start, stop, step = map(float, spec.split(":"))
             return evaluation.alpha_range(start, stop, step)
-        points = [float(tok) for tok in spec.split(",") if tok.strip()]
+        # + 0.0 reads -0 as 0, which the curve would print as -0.00
+        points = [float(tok) + 0.0 for tok in spec.split(",") if tok.strip()]
         if not points:
             raise ValueError
         return points
@@ -192,11 +193,16 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_tune(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else None
     # with no --grid, checking the default alpha still checks --max-iterations
+    seen = set()
     for alpha in grid or [simplifier.SimplifierConfig.alpha]:
         _as_usage_error(simplifier.SimplifierConfig, alpha=alpha, max_iterations=args.max_iterations)
         # the curve prints alpha to 2 decimals, so a finer point would print as its neighbour
         if round(alpha, 2) != alpha:
             raise UsageError(f"grid point {alpha!r} has more than 2 decimals")
+        # a repeated point would be scored again and printed as a second identical row
+        if alpha in seen:
+            raise UsageError(f"grid point {alpha!r} repeats")
+        seen.add(alpha)
     pairs = []
     with open_text(args.dev) as fh:
         for line_no, (source, reference) in rows(fh, 2):

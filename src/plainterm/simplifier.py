@@ -18,8 +18,9 @@ from .ontology import Label, PhraseTable
 from .textproc import Span, Token, detokenize, extract_spans, tokenize
 from .wordfreq import FrequencyTable, wf
 
-_RANK_KEY = attrgetter("combined", "lm_score")
 _NORM = attrgetter("norm")
+# a span row: the term, the sentence with it spliced in, and its lm and wf scores
+_Row = tuple[Label, tuple[str, ...], float, float]
 
 __all__ = [
     "Candidate",
@@ -123,7 +124,7 @@ class ScoreMemo:
     """Keeps what simplification computes that does not depend on alpha, and nothing else.
 
     A memo is bound to one scorer, one phrase table and one frequency table.
-    It asks a scorer other than an NgramModel once per row (ranked, below).
+    It asks a scorer other than an NgramModel once per row (rows, below).
     Around an NgramModel it also keeps one dict of per-position
     log-probabilities, keyed by NgramModel.logprobs's own arguments: words
     and a number of start pads. A pass input's base is its whole-sentence
@@ -131,12 +132,14 @@ class ScoreMemo:
     the order - 1 words of left context, and as many pads as that context
     lacks. Only a sentence's first pass input is scored whole; each later
     one gets its base carried from the pass before (carry). It keeps the wf
-    score of each label, the tokens of each input sentence (simplify), the
-    spans of each distinct pass input, keyed by its norms (simplify_once),
-    and the term, spliced sentence, lm and wf score of each label of each
-    span, keyed by pass input and span (rank_span). Only the combined score,
-    which rank_span computes on every call, and its argmax depend on alpha,
-    so grid_search_alpha shares one memo across its whole grid.
+    score of each label, the tokens and norms of each input sentence
+    (simplify), and the rows of each span: the term, spliced sentence, lm
+    and wf score of each label in its group, keyed by pass input and span
+    (rows). For each distinct pass input, keyed by its norms, it keeps its
+    spans, each paired with its rows (simplify_once), so a pass hashes its
+    input once. Only the combined score and its argmax depend on alpha;
+    _pick computes them from the rows on every pass and rank_span call, so
+    grid_search_alpha shares one memo across its whole grid.
 
     It keeps everything it has seen, so make one per call that simplifies
     many overlapping sentences and let it go when that call returns.
@@ -151,10 +154,12 @@ class ScoreMemo:
         # (words, start pads) -> NgramModel.logprobs(words, pads)
         self.logps: dict[tuple[tuple[str, ...], int], list[float]] = {}
         self.wfs: dict[Label, float] = {}
-        self.tokens: dict[str, list[Token]] = {}
-        self.spans: dict[tuple[str, ...], list[Span]] = {}
-        # (norms, start, end) -> (term, sentence, lm, wf) of each label in the span's group
-        self.ranked: dict[tuple[tuple[str, ...], int, int], list[tuple[Label, tuple[str, ...], float, float]]] = {}
+        # sentence -> (its tokens, their norms)
+        self.tokens: dict[str, tuple[list[Token], tuple[str, ...]]] = {}
+        # norms -> (span, its rows) for each span of that pass input
+        self.spans: dict[tuple[str, ...], list[tuple[Span, list[_Row]]]] = {}
+        # (norms, start, end) -> the row of each label in the span's group
+        self.ranked: dict[tuple[tuple[str, ...], int, int], list[_Row]] = {}
 
     def _logprobs(self, words: tuple[str, ...], pads: int) -> list[float]:
         key = (words, pads)
@@ -187,7 +192,7 @@ class ScoreMemo:
         matched text gives norms itself, whose score is the fsum of the base.
         fsum of the same values in any order gives the same float, so the
         score equals NgramModel.score of the sentence. Any other scorer
-        scores the whole sentence. rank_span keeps the score in its row.
+        scores the whole sentence. rows keeps the score in its row.
         """
         sent = (*norms[:start], *label, *norms[end:])
         if self.n is None:
@@ -196,6 +201,25 @@ class ScoreMemo:
         if sent != norms:
             logps = self._splice(logps, sent, start, end, len(label))
         return sent, math.fsum(logps) / len(sent)
+
+    def rows(self, norms: tuple[str, ...], span: Span) -> list[_Row]:
+        """The (term, sentence, lm, wf) row of each label of span's group, in label order.
+
+        The lm score is that of norms with the label spliced in (score_splice);
+        the wf score sees the bare term and is computed once per label. The rows
+        are made once per pass input and span, and hold nothing that depends on alpha.
+        """
+        key = (norms, span.start, span.end)
+        rows = self.ranked.get(key)
+        if rows is None:
+            rows = self.ranked[key] = []
+            for label in self.table.group(span.group_id).labels:
+                sent, lm_score = self.score_splice(norms, span.start, span.end, label)
+                wf_score = self.wfs.get(label)
+                if wf_score is None:
+                    wf_score = self.wfs[label] = wf(label, self.freq)
+                rows.append((label, sent, lm_score, wf_score))
+        return rows
 
     def carry(self, norms: tuple[str, ...], out: tuple[str, ...], replacements: Sequence[Replacement]) -> None:
         """Give pass output out, the next pass input, a base spliced from that of its pass input norms.
@@ -219,6 +243,23 @@ class ScoreMemo:
         self.logps[key] = base
 
 
+def _pick(rows: Sequence[_Row], alpha: float) -> tuple[list[float], int]:
+    """Return the combined score of each row at alpha, and the index of the winning row.
+
+    Combined score is alpha * lm + (1 - alpha) * wf, computed here and nowhere
+    else. The highest wins. Ties go to the higher lm score, then to the first
+    row: labels are stored sorted, so that is the lexicographically smallest term.
+    """
+    beta = 1.0 - alpha
+    combined = [alpha * lm + beta * w for _, _, lm, w in rows]
+    best = max(combined)
+    index = combined.index(best)
+    if combined.count(best) > 1:
+        # an exact tie; max keeps the first of equal keys
+        index = max(range(len(rows)), key=lambda i: (combined[i], rows[i][2]))
+    return combined, index
+
+
 def rank_span(
     norms: tuple[str, ...],
     span: Span,
@@ -228,32 +269,16 @@ def rank_span(
     """Score every alternative for one span and pick the best term.
 
     norms are the lowercased tokens of the pass input. The alternatives are
-    the labels of the span's group in the memo's phrase table. The language
-    model scores the full sentence with the alternative spliced in, through
-    ScoreMemo.score_splice; the frequency score sees the bare term, and the
-    memo computes it once per label. The memo
-    keeps these alpha-free scores per pass input and span, so a later call at
-    another alpha scores nothing. Combined score is alpha * lm + (1 - alpha) * wf,
-    computed here on every call and nowhere else.
-    Ties go to the higher lm score, then to the lexicographically smallest
-    term. The matched text is itself a group label, so keeping it is one of
-    the candidates and a span is only rewritten when an alternative beats it.
+    the labels of the span's group in the memo's phrase table, and their
+    alpha-free scores are the span's rows (ScoreMemo.rows), made once per
+    memo, so a later call at another alpha scores nothing. The combined
+    score and the winner come from _pick, which simplify_once uses too.
+    The matched text is itself a group label, so keeping it is one of the
+    candidates and a span is only rewritten when an alternative beats it.
     """
-    key = (norms, span.start, span.end)
-    scored = memo.ranked.get(key)
-    if scored is None:
-        scored = memo.ranked[key] = []
-        for label in memo.table.group(span.group_id).labels:
-            sent, lm_score = memo.score_splice(norms, span.start, span.end, label)
-            wf_score = memo.wfs.get(label)
-            if wf_score is None:
-                wf_score = memo.wfs[label] = wf(label, memo.freq)
-            scored.append((label, sent, lm_score, wf_score))
-    candidates = tuple([Candidate(t, s, lm, w, alpha * lm + (1.0 - alpha) * w) for t, s, lm, w in scored])
-    # labels are stored sorted and max keeps the first of equal keys, so the
-    # smallest term wins ties
-    best = max(candidates, key=_RANK_KEY)
-    return best.term, candidates
+    rows = memo.rows(norms, span)
+    combined, best = _pick(rows, alpha)
+    return rows[best][0], tuple([Candidate(t, s, lm, w, c) for (t, s, lm, w), c in zip(rows, combined)])
 
 
 def simplify_once(
@@ -267,15 +292,19 @@ def simplify_once(
     All spans are ranked against the same input sentence, then applied right to
     left so earlier span offsets stay valid. norms are the lowercased tokens,
     which simplify has already taken for its cycle guard. The memo keeps each
-    distinct pass input's spans, keyed by its norms.
+    distinct pass input's spans with their rows, keyed by its norms. A span is
+    ranked from its rows by _pick; only a span whose winner is not its matched
+    text goes through rank_span, which builds the Candidates its Replacement
+    keeps. A kept span builds none.
     """
     spans = memo.spans.get(norms)
     if spans is None:
-        spans = memo.spans[norms] = extract_spans(tokens, memo.table)
+        spans = memo.spans[norms] = [(span, memo.rows(norms, span)) for span in extract_spans(tokens, memo.table)]
+    alpha = config.alpha
     replacements: list[Replacement] = []
-    for span in spans:
-        chosen, candidates = rank_span(norms, span, memo, config.alpha)
-        if chosen != span.matched:
+    for span, rows in spans:
+        if rows[_pick(rows, alpha)[1]][0] != span.matched:
+            chosen, candidates = rank_span(norms, span, memo, alpha)
             replacements.append(Replacement(span, chosen, candidates))
     out = list(tokens)
     for rep in reversed(replacements):
@@ -308,8 +337,9 @@ def simplify(
     carried from this one's (ScoreMemo.carry). A ScoreMemo passed in keeps
     all of it for later calls; it must be bound to this table and this
     frequency table, or ValueError is raised. The memo holds only alpha-free
-    values, so one memo serves every alpha; rank_span computes the combined
-    score on each call.
+    values, so one memo serves every alpha; each pass computes the combined
+    scores from its spans' rows (see simplify_once). The memo keeps each
+    input sentence's tokens with their norms, which seed the cycle guard.
     """
     if isinstance(lm, ScoreMemo):
         memo = lm
@@ -317,12 +347,13 @@ def simplify(
             raise ValueError("a ScoreMemo serves one phrase table and one frequency table")
     else:
         memo = ScoreMemo(lm, table, freq)
-    tokens = memo.tokens.get(sentence)
-    if tokens is None:
-        tokens = memo.tokens[sentence] = tokenize(sentence)
+    known = memo.tokens.get(sentence)
+    if known is None:
+        tokens = tokenize(sentence)
+        known = memo.tokens[sentence] = tokens, tuple(map(_NORM, tokens))
+    tokens, norms = known
     trace: list[tuple[Replacement, ...]] = []
     if tokens:
-        norms = tuple(map(_NORM, tokens))
         seen = {norms}
         for _ in range(config.max_iterations):
             tokens, replacements = simplify_once(tokens, memo, config, norms)

@@ -94,20 +94,27 @@ MUTANTS = [
     (
         "tokens-memo-keyed-by-lowercase",
         "src/plainterm/simplifier.py",
-        "tokens = memo.tokens.get(sentence)\n    if tokens is None:\n        tokens = memo.tokens[sentence] =",
-        "tokens = memo.tokens.get(sentence.lower())\n    if tokens is None:\n        tokens = memo.tokens[sentence.lower()] =",
+        "known = memo.tokens.get(sentence)\n    if known is None:\n        tokens = tokenize(sentence)\n        known = memo.tokens[sentence] =",
+        "known = memo.tokens.get(sentence.lower())\n    if known is None:\n        tokens = tokenize(sentence)\n        known = memo.tokens[sentence.lower()] =",
     ),
     (
         "rank-key-without-lm",
         "src/plainterm/simplifier.py",
-        '_RANK_KEY = attrgetter("combined", "lm_score")',
-        '_RANK_KEY = attrgetter("combined")',
+        "key=lambda i: (combined[i], rows[i][2])",
+        "key=lambda i: combined[i]",
     ),
     (
         "rank-key-swapped",
         "src/plainterm/simplifier.py",
-        '_RANK_KEY = attrgetter("combined", "lm_score")',
-        '_RANK_KEY = attrgetter("lm_score", "combined")',
+        "key=lambda i: (combined[i], rows[i][2])",
+        "key=lambda i: (rows[i][2], combined[i])",
+    ),
+    # an exact tie in combined goes to the first tied row, whatever their lm scores
+    (
+        "rank-tie-skips-lm",
+        "src/plainterm/simplifier.py",
+        "if combined.count(best) > 1:",
+        "if False:",
     ),
     (
         "no-cycle-guard",

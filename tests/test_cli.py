@@ -393,6 +393,19 @@ class TestTune:
         assert run(args) == 2
         assert capsys.readouterr().err == "usage error: grid point 0.504 has more than 2 decimals\n"
 
+    def test_negative_zero_grid_point_reads_as_zero(self, data_dir, capsys):
+        assert run(self.tune_args(data_dir, ["--grid=-0,0.5"])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["0.00\t5.555556", "0.50\t41.666667"]
+        assert repr(_parse_grid("-0,0.5")) == "[0.0, 0.5]"
+
+    @pytest.mark.parametrize("spec, point", [("0.5,0.5", "0.5"), ("0.2,0.5,0.2", "0.2"), ("0,-0", "0.0")])
+    def test_repeated_grid_point_is_usage_error_before_any_load(self, data_dir, tmp_path, capsys, spec, point):
+        args = self.tune_args(data_dir, [f"--grid={spec}"])
+        args[args.index("--lm") + 1] = str(tmp_path / "missing.tsv")
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"usage error: grid point {point} repeats\n"
+
     @pytest.mark.parametrize("spec, bad", [("0.5,1.5", "1.5"), ("0.5,nan", "nan")])
     def test_out_of_range_alpha_is_usage_error_before_any_load(self, data_dir, tmp_path, capsys, spec, bad):
         args = self.tune_args(data_dir, ["--grid", spec])

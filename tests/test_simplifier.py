@@ -3,6 +3,7 @@ import io
 import math
 import zlib
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given
@@ -209,6 +210,29 @@ class TestSimplifyOnce:
         tokens = tokenize("pyrexia .")
         out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert out == tokenize("SSfever .")
+
+    def test_rank_span_is_called_once_per_rewritten_span_and_never_for_a_kept_one(self, two_stage, monkeypatch):
+        table, lm, freq = two_stage
+        calls = []
+        rank = plainterm.simplifier.rank_span
+
+        def counted(norms, span, memo, alpha):
+            calls.append((norms, span))
+            return rank(norms, span, memo, alpha)
+
+        monkeypatch.setattr(plainterm.simplifier, "rank_span", counted)
+        memo = ScoreMemo(lm, table, freq)
+        result = simplify("Hyperlipidemia with elevated triglycerides .", table, memo, freq, SimplifierConfig(alpha=1.0))
+        assert [len(passes) for passes in result.trace] == [2, 1, 0]
+        # every pass input has two spans, so the second pass keeps one and the third both
+        assert [len(spans) for spans in memo.spans.values()] == [2, 2, 2]
+        inputs = list(memo.spans)
+        assert calls == [(norms, rep.span) for norms, passes in zip(inputs, result.trace) for rep in passes]
+        # a pass that rewrites nothing ranks through _pick alone
+        calls.clear()
+        tokens = tokenize(result.final)
+        out, reps = simplify_once(tokens, memo, SimplifierConfig(alpha=1.0), norms_of(tokens))
+        assert (out, reps, calls) == (tokens, [], [])
 
 
 class TestSimplify:
@@ -561,3 +585,29 @@ def test_carried_bases_and_windows_equal_whole_sentence_scores(
     window = simplify(sentence, table, model, freq, config)
     whole = simplify(sentence, table, ScoreOnly(model), freq, config)
     assert window.to_dict() == whole.to_dict()
+
+
+# a few values that tie exactly, including both zeros, mixed with arbitrary ones
+SCORES = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -2.5, math.nextafter(-1.0, 0.0)]), st.floats(-50.0, 50.0))
+
+
+@given(
+    scores=st.lists(st.tuples(SCORES, SCORES), min_size=1, max_size=6),
+    copies=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_rank_span_picks_what_the_candidate_max_picks(scores, copies, alpha):
+    # copying one row's scores over another's forces exact ties at every alpha
+    for src, dst in copies:
+        if max(src, dst) < len(scores):
+            scores[dst] = scores[src]
+    norms = ("a", "b", "c")
+    span = Span(1, 2, 0, ("b",))
+    # terms in label order, so the first row holds the smallest term
+    rows = [((f"t{i}",), ("a", f"t{i}", "c"), lm, w) for i, (lm, w) in enumerate(scores)]
+    memo = ScoreMemo(LookupScorer({}), PhraseTable([]), FrequencyTable({}))
+    memo.ranked[(norms, span.start, span.end)] = rows
+    # the rule rank_span had when it built every candidate and took their max
+    candidates = tuple(Candidate(t, s, lm, w, alpha * lm + (1.0 - alpha) * w) for t, s, lm, w in rows)
+    best = max(candidates, key=attrgetter("combined", "lm_score"))
+    assert rank_span(norms, span, memo, alpha) == (best.term, candidates)
