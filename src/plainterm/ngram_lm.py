@@ -150,10 +150,12 @@ class NgramModel:
     def logprobs(self, tokens: Sequence[str], pads: int) -> list[float]:
         """Natural-log P(token | the tokens before it) for each token after the first order - 1 - pads.
 
-        The tokens follow pads start symbols, and a word outside the
-        vocabulary is read as the unknown symbol.
+        The tokens follow pads start symbols, 0 to order - 1 of them, and a
+        word outside the vocabulary is read as the unknown symbol.
         """
         n = self.order - 1
+        if not 0 <= pads <= n:
+            raise ValueError(f"pads must be in [0, {n}], got {pads}")
         ids, base, vocab = self._table.ids, self._table.base, self.vocab
         history = [ids[START]] * pads
         for tok in tokens:

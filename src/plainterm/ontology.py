@@ -205,6 +205,9 @@ def _checked_groups(entries: Iterable[tuple[int, int | str, str]], place: str) -
     for where, raw_id, text in entries:
         try:
             group_id = int(raw_id)
+            # int() also reads "1_0", "+1", "01" and "٢", so two texts could name one group
+            if str(group_id) != str(raw_id).strip():
+                raise ValueError
         except ValueError:
             raise ValueError(f"{place} {where}: bad group id {raw_id!r}") from None
         words = normalize_label(text)

@@ -133,13 +133,10 @@ class ScoreMemo:
     lacks. Only a sentence's first pass input is scored whole; each later
     one gets its base carried from the pass before (carry). It keeps the wf
     score of each label, the tokens and norms of each input sentence
-    (simplify), and the rows of each span: the term, spliced sentence, lm
-    and wf score of each label in its group, keyed by pass input and span
-    (rows). For each distinct pass input, keyed by its norms, it keeps its
-    spans, each paired with its rows (simplify_once), so a pass hashes its
-    input once. Only the combined score and its argmax depend on alpha;
-    _pick computes them from the rows on every pass and rank_span call, so
-    grid_search_alpha shares one memo across its whole grid.
+    (simplify), and for each distinct pass input, keyed by its norms, its
+    spans, each paired with its rows (rows, simplify_once). Only rank_span's
+    combined score and argmax depend on alpha, so grid_search_alpha shares
+    one memo across its whole grid.
 
     It keeps everything it has seen, so make one per call that simplifies
     many overlapping sentences and let it go when that call returns.
@@ -158,8 +155,6 @@ class ScoreMemo:
         self.tokens: dict[str, tuple[list[Token], tuple[str, ...]]] = {}
         # norms -> (span, its rows) for each span of that pass input
         self.spans: dict[tuple[str, ...], list[tuple[Span, list[_Row]]]] = {}
-        # (norms, start, end) -> the row of each label in the span's group
-        self.ranked: dict[tuple[tuple[str, ...], int, int], list[_Row]] = {}
 
     def _logprobs(self, words: tuple[str, ...], pads: int) -> list[float]:
         key = (words, pads)
@@ -206,19 +201,16 @@ class ScoreMemo:
         """The (term, sentence, lm, wf) row of each label of span's group, in label order.
 
         The lm score is that of norms with the label spliced in (score_splice);
-        the wf score sees the bare term and is computed once per label. The rows
-        are made once per pass input and span, and hold nothing that depends on alpha.
+        the wf score sees the bare term and is computed once per label. Only
+        simplify_once keeps rows (spans); each call makes them afresh.
         """
-        key = (norms, span.start, span.end)
-        rows = self.ranked.get(key)
-        if rows is None:
-            rows = self.ranked[key] = []
-            for label in self.table.group(span.group_id).labels:
-                sent, lm_score = self.score_splice(norms, span.start, span.end, label)
-                wf_score = self.wfs.get(label)
-                if wf_score is None:
-                    wf_score = self.wfs[label] = wf(label, self.freq)
-                rows.append((label, sent, lm_score, wf_score))
+        rows = []
+        for label in self.table.group(span.group_id).labels:
+            sent, lm_score = self.score_splice(norms, span.start, span.end, label)
+            wf_score = self.wfs.get(label)
+            if wf_score is None:
+                wf_score = self.wfs[label] = wf(label, self.freq)
+            rows.append((label, sent, lm_score, wf_score))
         return rows
 
     def carry(self, norms: tuple[str, ...], out: tuple[str, ...], replacements: Sequence[Replacement]) -> None:
@@ -243,12 +235,13 @@ class ScoreMemo:
         self.logps[key] = base
 
 
-def _pick(rows: Sequence[_Row], alpha: float) -> tuple[list[float], int]:
-    """Return the combined score of each row at alpha, and the index of the winning row.
+def rank_span(rows: Sequence[_Row], span: Span, alpha: float) -> tuple[Label, tuple[Candidate, ...]]:
+    """Rank span's rows (ScoreMemo.rows) at alpha; return the winning term and its Candidates.
 
     Combined score is alpha * lm + (1 - alpha) * wf, computed here and nowhere
-    else. The highest wins. Ties go to the higher lm score, then to the first
-    row: labels are stored sorted, so that is the lexicographically smallest term.
+    else. The highest wins; ties go to the higher lm score, then to the first
+    row, the smallest term, as labels are stored sorted. The matched text is a
+    row too, and a span whose winner it is returns (span.matched, ()).
     """
     beta = 1.0 - alpha
     combined = [alpha * lm + beta * w for _, _, lm, w in rows]
@@ -257,28 +250,10 @@ def _pick(rows: Sequence[_Row], alpha: float) -> tuple[list[float], int]:
     if combined.count(best) > 1:
         # an exact tie; max keeps the first of equal keys
         index = max(range(len(rows)), key=lambda i: (combined[i], rows[i][2]))
-    return combined, index
-
-
-def rank_span(
-    norms: tuple[str, ...],
-    span: Span,
-    memo: ScoreMemo,
-    alpha: float,
-) -> tuple[Label, tuple[Candidate, ...]]:
-    """Score every alternative for one span and pick the best term.
-
-    norms are the lowercased tokens of the pass input. The alternatives are
-    the labels of the span's group in the memo's phrase table, and their
-    alpha-free scores are the span's rows (ScoreMemo.rows), made once per
-    memo, so a later call at another alpha scores nothing. The combined
-    score and the winner come from _pick, which simplify_once uses too.
-    The matched text is itself a group label, so keeping it is one of the
-    candidates and a span is only rewritten when an alternative beats it.
-    """
-    rows = memo.rows(norms, span)
-    combined, best = _pick(rows, alpha)
-    return rows[best][0], tuple([Candidate(t, s, lm, w, c) for (t, s, lm, w), c in zip(rows, combined)])
+    chosen = rows[index][0]
+    if chosen == span.matched:
+        return chosen, ()
+    return chosen, tuple([Candidate(*row, c) for row, c in zip(rows, combined)])
 
 
 def simplify_once(
@@ -292,10 +267,8 @@ def simplify_once(
     All spans are ranked against the same input sentence, then applied right to
     left so earlier span offsets stay valid. norms are the lowercased tokens,
     which simplify has already taken for its cycle guard. The memo keeps each
-    distinct pass input's spans with their rows, keyed by its norms. A span is
-    ranked from its rows by _pick; only a span whose winner is not its matched
-    text goes through rank_span, which builds the Candidates its Replacement
-    keeps. A kept span builds none.
+    distinct pass input's spans with their rows, keyed by its norms, and each
+    span is ranked once by rank_span.
     """
     spans = memo.spans.get(norms)
     if spans is None:
@@ -303,8 +276,9 @@ def simplify_once(
     alpha = config.alpha
     replacements: list[Replacement] = []
     for span, rows in spans:
-        if rows[_pick(rows, alpha)[1]][0] != span.matched:
-            chosen, candidates = rank_span(norms, span, memo, alpha)
+        chosen, candidates = rank_span(rows, span, alpha)
+        # a kept span ranks to no candidates
+        if candidates:
             replacements.append(Replacement(span, chosen, candidates))
     out = list(tokens)
     for rep in reversed(replacements):
@@ -328,18 +302,10 @@ def simplify(
     The reported iteration count is the number of passes that changed the
     sentence; the trace has one entry per executed pass, so a run that
     converged before the cap ends with an empty trace entry. A bare scorer
-    gets a ScoreMemo for this call. A scorer other than an NgramModel is
-    asked once per call for each label of each span of each distinct pass
-    input, so for the pass input itself once per span. An NgramModel scores
-    only the first pass input whole and rescores only each candidate's
-    changed window (see ScoreMemo.score_splice); after each pass that
-    changed the sentence into one not seen before, the next input's base is
-    carried from this one's (ScoreMemo.carry). A ScoreMemo passed in keeps
-    all of it for later calls; it must be bound to this table and this
-    frequency table, or ValueError is raised. The memo holds only alpha-free
-    values, so one memo serves every alpha; each pass computes the combined
-    scores from its spans' rows (see simplify_once). The memo keeps each
-    input sentence's tokens with their norms, which seed the cycle guard.
+    gets a ScoreMemo for this call, which says how often a scorer is asked.
+    A ScoreMemo passed in keeps all it computes for later calls, at any
+    alpha; it must be bound to this table and this frequency table, or
+    ValueError is raised. The input's memoized norms seed the cycle guard.
     """
     if isinstance(lm, ScoreMemo):
         memo = lm

@@ -97,6 +97,7 @@ MUTANTS = [
         "known = memo.tokens.get(sentence)\n    if known is None:\n        tokens = tokenize(sentence)\n        known = memo.tokens[sentence] =",
         "known = memo.tokens.get(sentence.lower())\n    if known is None:\n        tokens = tokenize(sentence)\n        known = memo.tokens[sentence.lower()] =",
     ),
+    # rank_span's tie rule: an exact tie in combined goes to the higher lm score
     (
         "rank-key-without-lm",
         "src/plainterm/simplifier.py",
@@ -128,11 +129,12 @@ MUTANTS = [
         "words[0] = words[0][:1].upper() + words[0][1:]",
         "words[0] = words[0].capitalize()",
     ),
+    # a kept span ranks to its candidates, which simplify_once takes for a rewrite
     (
-        "memo-key-without-span-end",
+        "kept-span-builds-candidates",
         "src/plainterm/simplifier.py",
-        "key = (norms, span.start, span.end)",
-        "key = (norms, span.start)",
+        "    if chosen == span.matched:\n        return chosen, ()\n",
+        "",
     ),
     (
         "arpa-strips-only-newline",

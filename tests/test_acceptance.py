@@ -66,14 +66,14 @@ def test_ranking_fixture_selects_common_phrase_across_weights():
         freq = load_table(fh)
     tokens = tokenize("Patient had multiple myocardial infarctions .")
     (span,) = extract_spans(tokens, table)
-    norms = tuple(t.norm for t in tokens)
+    rows = ScoreMemo(lm, table, freq).rows(tuple(t.norm for t in tokens), span)
     ok = True
     for alpha in (0.60, 0.70, 0.90, 1.00):
-        chosen, _ = rank_span(norms, span, ScoreMemo(lm, table, freq), alpha)
+        chosen, _ = rank_span(rows, span, alpha)
         ok = ok and chosen == ("heart", "attacks")
     # at alpha 0 the two plural variants tie on familiarity and the language
     # model breaks the tie
-    chosen, _ = rank_span(norms, span, ScoreMemo(lm, table, freq), 0.0)
+    chosen, _ = rank_span(rows, span, 0.0)
     ok = ok and chosen == ("heart", "attacks")
     elapsed = time.perf_counter() - started
     _check(

@@ -442,7 +442,7 @@ class TestGridSearch:
         memo = ScoreMemo(shared, table, freq)
         over_grid(pairs, table, memo, freq, default_alpha_grid())
         once = dict(shared.calls)
-        assert sum(once.values()) == sum(map(len, memo.ranked.values()))
+        assert sum(once.values()) == sum(len(rows) for spans in memo.spans.values() for _, rows in spans)
         # a second walk on the same memo asks nothing
         over_grid(pairs, table, memo, freq, default_alpha_grid())
         assert shared.calls == once

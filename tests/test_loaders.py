@@ -54,6 +54,15 @@ TSV_READERS = [
         "0\totalgia\n0\tearache\n", 2, "x\tfoo", "bad group id 'x'",
         id="read_table",
     ),
+    # int() reads each of these, so two texts such as "1_0" and "10" could name one group
+    *(
+        pytest.param(
+            lambda text, _: read_table(io.StringIO(text)),
+            "0\totalgia\n0\tearache\n", 2, f"{gid}\tfoo", f"bad group id {gid!r}",
+            id=f"read_table-{gid}",
+        )
+        for gid in ["1_0", "\u0662", "+1", "01", "-0"]
+    ),
     pytest.param(
         lambda text, _: load_table(io.StringIO(text)),
         "otalgia\t0.5\n", 2, "word\tabc", "bad probability 'abc'",

@@ -595,6 +595,15 @@ def test_logprobs_equal_a_plain_backoff_walk_after_any_start_pads():
     assert {order for order, _ in unknown} == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("pads", [-1, 3, 4])
+def test_logprobs_refuses_pads_outside_zero_to_order_minus_one(pads):
+    # 4 pads on an order-3 model would score two start symbols as words; -1 would drop a token
+    model = train(["a b c", "a b d"], order=3, min_count=1)
+    assert len(model.logprobs(("a", "b"), 2)) == 2
+    with pytest.raises(ValueError, match=rf"pads must be in \[0, 2\], got {pads}"):
+        model.logprobs(("a", "b"), pads)
+
+
 @st.composite
 def models_and_dicts(draw):
     """(model, the tuple-keyed probs and backoffs it holds), from train or from the constructor.

@@ -252,6 +252,15 @@ class TestPhraseTable:
         with pytest.raises(ValueError, match="line 1"):
             read_table(io.StringIO("x\tlabel\n"))
 
+    def test_read_takes_each_group_id_in_one_spelling(self):
+        # int() alone would read "1_0" as group 10 and merge it with "10"
+        rows = ["1_0\tfever", "10\tpyrexia", " 2 \theart attack", "\u0662\tmyocardial infarction"]
+        with pytest.raises(ValueError) as err:
+            read_table(rows)
+        assert str(err.value) == "line 1: bad group id '1_0'"
+        table = read_table(["10\tfever", " 10 \tpyrexia", "-1\theart attack", "-1\tmyocardial infarction"])
+        assert [group.group_id for group in table.groups] == [-1, 10]
+
     def test_normalize_label_splits_punct(self):
         assert normalize_label("Heart attack,") == ("heart", "attack", ",")
         assert normalize_label("  Shortness  of Breath ") == ("shortness", "of", "breath")

@@ -68,11 +68,15 @@ class TestRankSpan:
         self.freq = FrequencyTable({"big": 0.01, "large": 0.001})
         self.lm = LookupScorer({"a big dog .": -2.0, "a large dog .": -1.0})
 
-    def rank(self, alpha, lm=None, freq=None):
+    def rows(self, lm=None, freq=None):
         norms, span = span_for("a big dog .", self.table)
         # an empty table is falsy, so test for None
         freq = self.freq if freq is None else freq
-        return rank_span(norms, span, ScoreMemo(lm or self.lm, self.table, freq), alpha)
+        return ScoreMemo(lm or self.lm, self.table, freq).rows(norms, span), span
+
+    def rank(self, alpha, lm=None, freq=None):
+        rows, span = self.rows(lm, freq)
+        return rank_span(rows, span, alpha)
 
     def test_pure_lm_picks_fluent_candidate(self):
         chosen, _ = self.rank(alpha=1.0)
@@ -83,10 +87,13 @@ class TestRankSpan:
         assert chosen == ("big",)
 
     def test_combined_is_weighted_sum(self):
-        _, candidates = self.rank(alpha=0.3)
+        # at 0.3 "big" is kept, so its ranking builds no candidates; at 0.9 "large" wins
+        assert self.rank(alpha=0.3) == (("big",), ())
+        _, candidates = self.rank(alpha=0.9)
+        assert len(candidates) == 2
         for cand in candidates:
             assert cand.combined == pytest.approx(
-                0.3 * cand.lm_score + 0.7 * cand.wf_score, abs=1e-12
+                0.9 * cand.lm_score + 0.1 * cand.wf_score, abs=1e-12
             )
 
     def test_candidate_sentence_is_spliced(self):
@@ -96,8 +103,10 @@ class TestRankSpan:
         assert by_term[("big",)] == ("a", "big", "dog", ".")
 
     def test_wf_scores_the_bare_term(self):
-        _, candidates = self.rank(alpha=0.5)
-        by_term = {c.term: c.wf_score for c in candidates}
+        # at alpha 0.5 "big" is kept, so its scores are read from the rows
+        assert self.rank(alpha=0.5) == (("big",), ())
+        rows, _ = self.rows()
+        by_term = {term: w for term, _, _, w in rows}
         assert by_term[("big",)] == math.log(0.01 + EPSILON)
         assert by_term[("large",)] == math.log(0.001 + EPSILON)
 
@@ -125,26 +134,29 @@ class TestRankSpan:
         norms = tuple(t.norm for t in tokens)
         big, sick = extract_spans(tokens, table)
         memo = ScoreMemo(lm, table, freq)
+        big_rows, sick_rows = memo.rows(norms, big), memo.rows(norms, sick)
         for alpha in (0.0, 0.5):
-            chosen, candidates = rank_span(norms, big, memo, alpha)
+            chosen, candidates = rank_span(big_rows, big, alpha)
             assert candidates[0].combined == candidates[1].combined
             assert candidates[1].lm_score > candidates[0].lm_score
             assert chosen == ("large",)
-            chosen, candidates = rank_span(norms, sick, memo, alpha)
+            chosen, candidates = rank_span(sick_rows, sick, alpha)
             assert candidates[0].lm_score == candidates[1].lm_score
             assert candidates[0].combined == candidates[1].combined
             assert chosen == ("ill",)
 
     def test_spans_with_one_start_keep_their_own_candidates_in_one_memo(self, constant):
-        # a memo keyed on the start alone would hand the second span the first one's labels
+        # rows keyed on the start alone would hand the second span the first one's labels
         table = PhraseTable.from_groups([["a", "x"], ["a b", "y"]])
         memo = ScoreMemo(constant(-1.0), table, FrequencyTable({}))
         for span, terms in [
             (Span(0, 1, 0, ("a",)), [("a",), ("x",)]),
             (Span(0, 2, 1, ("a", "b")), [("a", "b"), ("y",)]),
         ]:
-            _, candidates = rank_span(("a", "b"), span, memo, 0.5)
-            assert [c.term for c in candidates] == terms
+            rows = memo.rows(("a", "b"), span)
+            assert [term for term, _, _, _ in rows] == terms
+            # every score ties, so the smallest term, the matched text, is kept
+            assert rank_span(rows, span, 0.5) == (span.matched, ())
 
 
 
@@ -211,14 +223,15 @@ class TestSimplifyOnce:
         out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert out == tokenize("SSfever .")
 
-    def test_rank_span_is_called_once_per_rewritten_span_and_never_for_a_kept_one(self, two_stage, monkeypatch):
+    def test_rank_span_runs_once_per_span_per_pass(self, two_stage, monkeypatch):
         table, lm, freq = two_stage
         calls = []
         rank = plainterm.simplifier.rank_span
 
-        def counted(norms, span, memo, alpha):
-            calls.append((norms, span))
-            return rank(norms, span, memo, alpha)
+        def counted(rows, span, alpha):
+            result = rank(rows, span, alpha)
+            calls.append((rows, span, result))
+            return result
 
         monkeypatch.setattr(plainterm.simplifier, "rank_span", counted)
         memo = ScoreMemo(lm, table, freq)
@@ -226,13 +239,19 @@ class TestSimplifyOnce:
         assert [len(passes) for passes in result.trace] == [2, 1, 0]
         # every pass input has two spans, so the second pass keeps one and the third both
         assert [len(spans) for spans in memo.spans.values()] == [2, 2, 2]
-        inputs = list(memo.spans)
-        assert calls == [(norms, rep.span) for norms, passes in zip(inputs, result.trace) for rep in passes]
-        # a pass that rewrites nothing ranks through _pick alone
+        held = [(rows, span) for spans in memo.spans.values() for span, rows in spans]
+        # one call per span of each pass, on the rows the memo holds for it
+        assert len(calls) == len(held) == 6
+        assert all(rows is held_rows and span == held_span for (rows, span, _), (held_rows, held_span) in zip(calls, held))
+        # candidates are built only for a rewrite, and each such ranking is a Replacement
+        assert [(span, *ranked) for _, span, ranked in calls if ranked[1]] == [rep for passes in result.trace for rep in passes]
+        assert all(ranked == (span.matched, ()) for _, span, ranked in calls if not ranked[1])
+        # a pass that rewrites nothing still ranks each span once, and builds no candidates
         calls.clear()
         tokens = tokenize(result.final)
         out, reps = simplify_once(tokens, memo, SimplifierConfig(alpha=1.0), norms_of(tokens))
-        assert (out, reps, calls) == (tokens, [], [])
+        assert (out, reps) == (tokens, [])
+        assert [(span, ranked) for _, span, ranked in calls] == [(span, (span.matched, ())) for _, span in held[-2:]]
 
 
 class TestSimplify:
@@ -314,8 +333,9 @@ class TestScoreMemo:
         result = self.run(two_stage, memo)
         assert result.iterations == 2
         # exactly one call per (pass input, span, label) row, for that row's sentence
-        assert sum(scorer.calls.values()) == sum(map(len, memo.ranked.values()))
-        assert scorer.calls == Counter(sent for rows in memo.ranked.values() for _, sent, _, _ in rows)
+        held = [rows for spans in memo.spans.values() for _, rows in spans]
+        assert sum(scorer.calls.values()) == sum(map(len, held))
+        assert scorer.calls == Counter(sent for rows in held for _, sent, _, _ in rows)
         # each span's keep-the-original candidate is the pass input itself,
         # asked for once per span: the first input has two
         assert scorer.calls[tuple(result.original.lower().split())] == 2
@@ -333,7 +353,7 @@ class TestScoreMemo:
         memo = ScoreMemo(scorer, table, freq)
         first = self.run(two_stage, memo)
         once = dict(scorer.calls)
-        assert sum(once.values()) == sum(map(len, memo.ranked.values()))
+        assert sum(once.values()) == sum(len(rows) for spans in memo.spans.values() for _, rows in spans)
         assert self.run(two_stage, memo) == first
         assert scorer.calls == once
 
@@ -594,20 +614,20 @@ SCORES = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -2.5, math.nextafter(-1.0, 
 @given(
     scores=st.lists(st.tuples(SCORES, SCORES), min_size=1, max_size=6),
     copies=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
+    matched=st.integers(0, 5),
     alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
 )
-def test_rank_span_picks_what_the_candidate_max_picks(scores, copies, alpha):
+def test_rank_span_picks_what_the_candidate_max_picks(scores, copies, matched, alpha):
     # copying one row's scores over another's forces exact ties at every alpha
     for src, dst in copies:
         if max(src, dst) < len(scores):
             scores[dst] = scores[src]
-    norms = ("a", "b", "c")
-    span = Span(1, 2, 0, ("b",))
     # terms in label order, so the first row holds the smallest term
     rows = [((f"t{i}",), ("a", f"t{i}", "c"), lm, w) for i, (lm, w) in enumerate(scores)]
-    memo = ScoreMemo(LookupScorer({}), PhraseTable([]), FrequencyTable({}))
-    memo.ranked[(norms, span.start, span.end)] = rows
+    # one row keeps the matched text, so the winner is sometimes kept and sometimes not
+    span = Span(1, 2, 0, rows[matched % len(rows)][0])
     # the rule rank_span had when it built every candidate and took their max
     candidates = tuple(Candidate(t, s, lm, w, alpha * lm + (1.0 - alpha) * w) for t, s, lm, w in rows)
     best = max(candidates, key=attrgetter("combined", "lm_score"))
-    assert rank_span(norms, span, memo, alpha) == (best.term, candidates)
+    kept = best.term == span.matched
+    assert rank_span(rows, span, alpha) == (best.term, () if kept else candidates)
