@@ -21,6 +21,8 @@ from .wordfreq import FrequencyTable, wf
 _NORM = attrgetter("norm")
 # a span row: the term, the sentence with it spliced in, and its lm and wf scores
 _Row = tuple[Label, tuple[str, ...], float, float]
+# a pass output: its tokens, their norms and their detokenize text
+_Output = tuple[tuple[Token, ...], tuple[str, ...], str]
 
 __all__ = [
     "Candidate",
@@ -133,10 +135,13 @@ class ScoreMemo:
     lacks. Only a sentence's first pass input is scored whole; each later
     one gets its base carried from the pass before (carry). It keeps the wf
     score of each label, the tokens and norms of each input sentence
-    (simplify), and for each distinct pass input, keyed by its norms, its
-    spans, each paired with its rows (rows, simplify_once). Only rank_span's
-    combined score and argmax depend on alpha, so grid_search_alpha shares
-    one memo across its whole grid.
+    (simplify), for each distinct pass input, keyed by its norms, its spans,
+    each paired with its rows (rows, simplify_once), and each pass output,
+    keyed by its pass input's tokens and the pick of each span (outputs,
+    simplify_once). Only rank_span's combined score and argmax depend on
+    alpha, so grid_search_alpha shares one memo across its whole grid, and a
+    grid point that picks what an earlier one picked on the same pass input
+    reuses that pass's output.
 
     It keeps everything it has seen, so make one per call that simplifies
     many overlapping sentences and let it go when that call returns.
@@ -152,9 +157,12 @@ class ScoreMemo:
         self.logps: dict[tuple[tuple[str, ...], int], list[float]] = {}
         self.wfs: dict[Label, float] = {}
         # sentence -> (its tokens, their norms)
-        self.tokens: dict[str, tuple[list[Token], tuple[str, ...]]] = {}
+        self.tokens: dict[str, tuple[tuple[Token, ...], tuple[str, ...]]] = {}
         # norms -> (span, its rows) for each span of that pass input
         self.spans: dict[tuple[str, ...], list[tuple[Span, list[_Row]]]] = {}
+        # (pass input tokens, the pick of each span) -> that pass's output; the
+        # key holds texts, not norms, as case variants write different text
+        self.outputs: dict[tuple[tuple[Token, ...], tuple[Label, ...]], _Output] = {}
 
     def _logprobs(self, words: tuple[str, ...], pads: int) -> list[float]:
         key = (words, pads)
@@ -261,33 +269,47 @@ def simplify_once(
     memo: ScoreMemo,
     config: SimplifierConfig,
     norms: tuple[str, ...],
-) -> tuple[list[Token], list[Replacement]]:
+) -> tuple[tuple[Sequence[Token], tuple[str, ...], str | None], list[Replacement]]:
     """Run one pass: rank every span against this pass's input and splice winners.
 
     All spans are ranked against the same input sentence, then applied right to
     left so earlier span offsets stay valid. norms are the lowercased tokens,
     which simplify has already taken for its cycle guard. The memo keeps each
     distinct pass input's spans with their rows, keyed by its norms, and each
-    span is ranked once by rank_span.
+    span is ranked once by rank_span. Returns ((tokens, norms, text),
+    replacements): the output's tokens as a tuple, their norms and their
+    detokenize text. The memo keeps that output, keyed by the input's tokens
+    and each span's pick, so a pass that picks what an earlier one picked on
+    the same input splices nothing. A pass that rewrites nothing returns its
+    input tokens and norms, text None, and stores nothing.
     """
     spans = memo.spans.get(norms)
     if spans is None:
         spans = memo.spans[norms] = [(span, memo.rows(norms, span)) for span in extract_spans(tokens, memo.table)]
     alpha = config.alpha
+    picks: list[Label] = []
     replacements: list[Replacement] = []
     for span, rows in spans:
         chosen, candidates = rank_span(rows, span, alpha)
+        picks.append(chosen)
         # a kept span ranks to no candidates
         if candidates:
             replacements.append(Replacement(span, chosen, candidates))
-    out = list(tokens)
-    for rep in reversed(replacements):
-        words = list(rep.chosen)
-        if rep.span.start == 0:
-            words[0] = words[0][:1].upper() + words[0][1:]
-        # norm is taken after capitalization, as tokenize would take it
-        out[rep.span.start : rep.span.end] = [Token(w, w.lower()) for w in words]
-    return out, replacements
+    if not replacements:
+        return (tokens, norms, None), replacements
+    key = (tuple(tokens), tuple(picks))
+    output = memo.outputs.get(key)
+    if output is None:
+        out = list(tokens)
+        for rep in reversed(replacements):
+            words = list(rep.chosen)
+            if rep.span.start == 0:
+                words[0] = words[0][:1].upper() + words[0][1:]
+            # norm is taken after capitalization, as tokenize would take it
+            out[rep.span.start : rep.span.end] = [Token(w, w.lower()) for w in words]
+        out = tuple(out)
+        output = memo.outputs[key] = out, tuple(map(_NORM, out)), detokenize(out)
+    return output, replacements
 
 
 def simplify(
@@ -305,7 +327,9 @@ def simplify(
     gets a ScoreMemo for this call, which says how often a scorer is asked.
     A ScoreMemo passed in keeps all it computes for later calls, at any
     alpha; it must be bound to this table and this frequency table, or
-    ValueError is raised. The input's memoized norms seed the cycle guard.
+    ValueError is raised. The input's memoized norms seed the cycle guard;
+    each later pass input's norms, and the final text, are those of the
+    pass output simplify_once returns, lowercased and joined once per memo.
     """
     if isinstance(lm, ScoreMemo):
         memo = lm
@@ -315,22 +339,22 @@ def simplify(
         memo = ScoreMemo(lm, table, freq)
     known = memo.tokens.get(sentence)
     if known is None:
-        tokens = tokenize(sentence)
+        tokens = tuple(tokenize(sentence))
         known = memo.tokens[sentence] = tokens, tuple(map(_NORM, tokens))
     tokens, norms = known
+    final = sentence
     trace: list[tuple[Replacement, ...]] = []
     if tokens:
         seen = {norms}
         for _ in range(config.max_iterations):
-            tokens, replacements = simplify_once(tokens, memo, config, norms)
+            (tokens, out, text), replacements = simplify_once(tokens, memo, config, norms)
             trace.append(tuple(replacements))
             if not replacements:
                 break
-            out = tuple(map(_NORM, tokens))
+            final = text
             if out in seen:
                 break
             seen.add(out)
             memo.carry(norms, out, replacements)
             norms = out
-    final = detokenize(tokens) if any(trace) else sentence
     return SimplificationResult(sentence, final, trace)

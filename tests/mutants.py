@@ -94,8 +94,22 @@ MUTANTS = [
     (
         "tokens-memo-keyed-by-lowercase",
         "src/plainterm/simplifier.py",
-        "known = memo.tokens.get(sentence)\n    if known is None:\n        tokens = tokenize(sentence)\n        known = memo.tokens[sentence] =",
-        "known = memo.tokens.get(sentence.lower())\n    if known is None:\n        tokens = tokenize(sentence)\n        known = memo.tokens[sentence.lower()] =",
+        "known = memo.tokens.get(sentence)\n    if known is None:\n        tokens = tuple(tokenize(sentence))\n        known = memo.tokens[sentence] =",
+        "known = memo.tokens.get(sentence.lower())\n    if known is None:\n        tokens = tuple(tokenize(sentence))\n        known = memo.tokens[sentence.lower()] =",
+    ),
+    # one stored pass output for case variants, which share norms but not text
+    (
+        "outputs-memo-keyed-by-norms",
+        "src/plainterm/simplifier.py",
+        "key = (tuple(tokens), tuple(picks))",
+        "key = (norms, tuple(picks))",
+    ),
+    # one stored pass output per pass input, so every grid point reuses the first one's rewrite
+    (
+        "outputs-memo-without-picks",
+        "src/plainterm/simplifier.py",
+        "key = (tuple(tokens), tuple(picks))",
+        "key = tuple(tokens)",
     ),
     # rank_span's tie rule: an exact tie in combined goes to the higher lm score
     (

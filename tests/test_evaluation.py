@@ -426,14 +426,38 @@ class TestGridSearch:
             [(alpha, 41.666666666666664 if alpha >= 0.5 else 5.5555555555555545) for alpha in default_alpha_grid()]
         )
 
-    def test_a_shared_memo_gives_what_a_fresh_memo_per_call_gives(self, tune, over_grid):
-        pairs, table, lm, freq = tune
-        # walked both ways, a shared memo first sees alpha 0.0 in one and 1.0 in the other
-        for grid in (default_alpha_grid(), default_alpha_grid()[::-1]):
-            shared = over_grid(pairs, table, ScoreMemo(lm, table, freq), freq, grid)
-            fresh = over_grid(pairs, table, lm, freq, grid)
-            assert shared == fresh
-            assert repr(shared) == repr(fresh)
+    def test_a_shared_memo_gives_what_a_fresh_memo_per_call_gives(self, tune, two_stage, over_grid, monkeypatch):
+        table, lm, _ = two_stage
+        # "excessive fat in blood" made familiar, so a low alpha and a high one
+        # rewrite the same pass input in two ways
+        freq = {"excessive": 0.5, "fat": 0.5, "in": 0.5, "blood": 0.5, "high": 0.5}
+        sources = ["Hyperlipidemia with elevated triglycerides .", "Hyperlipidemia with high triglycerides ."]
+        stage = [(source, "high fat in blood .") for source in sources], table, lm, freq
+        passes = set()
+        simplify_once = simplifier.simplify_once
+
+        def recorded(tokens, *args):
+            output, replacements = simplify_once(tokens, *args)
+            if replacements:
+                passes.add((tuple(tokens), tuple((rep.span, rep.chosen) for rep in replacements)))
+            return output, replacements
+
+        monkeypatch.setattr(simplifier, "simplify_once", recorded)
+        for pairs, table, lm, freq in (tune, stage):
+            # walked both ways, a shared memo first sees alpha 0.0 in one and 1.0 in the other
+            for grid in (default_alpha_grid(), default_alpha_grid()[::-1]):
+                passes.clear()
+                memo = ScoreMemo(lm, table, freq)
+                shared = over_grid(pairs, table, memo, freq, grid)
+                # one output per distinct pass input and picks, and a second walk adds none
+                assert len(memo.outputs) == len(passes)
+                outputs = dict(memo.outputs)
+                assert over_grid(pairs, table, memo, freq, grid) == shared
+                assert memo.outputs == outputs
+                fresh = over_grid(pairs, table, lm, freq, grid)
+                assert shared == fresh
+                assert repr(shared) == repr(fresh)
+        assert len({tokens for tokens, _ in passes}) < len(passes)
 
     def test_each_row_scored_once_across_the_grid(self, tune, counting, over_grid):
         pairs, table, lm, freq = tune

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import math
@@ -166,8 +167,9 @@ class TestSimplifyOnce:
         lm = LookupScorer({"a big dog .": -2.0, "a large dog .": -1.0})
         freq = FrequencyTable({})
         tokens = tokenize("a big dog .")
-        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0), norms_of(tokens))
+        (out, norms, text), reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0), norms_of(tokens))
         assert [t.text for t in out] == ["a", "large", "dog", "."]
+        assert (norms, text) == (("a", "large", "dog", "."), "a large dog .")
         assert len(reps) == 1
         assert reps[0].chosen == ("large",)
 
@@ -176,8 +178,10 @@ class TestSimplifyOnce:
         lm = LookupScorer({"a big dog .": -1.0, "a large dog .": -2.0})
         freq = FrequencyTable({})
         tokens = tokenize("a big dog .")
-        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0), norms_of(tokens))
+        (out, norms, text), reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0), norms_of(tokens))
         assert reps == []
+        # the input comes back as given, with no text
+        assert out is tokens and norms == norms_of(tokens) and text is None
         assert [t.text for t in out] == ["a", "big", "dog", "."]
 
     def test_multiple_spans_replaced_in_one_pass(self, constant):
@@ -185,8 +189,9 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "earache": 0.5, "pyrexia": 1e-9, "otalgia": 1e-9})
         tokens = tokenize("pyrexia and otalgia .")
-        out, reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        (out, _, text), reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert [t.text for t in out] == ["Fever", "and", "earache", "."]
+        assert text == "Fever and earache ."
         assert len(reps) == 2
 
     def test_sentence_initial_replacement_capitalized(self, constant):
@@ -194,7 +199,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("Pyrexia was noted .")
-        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        (out, _, _), _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert [t.text for t in out] == ["Fever", "was", "noted", "."]
 
     def test_mid_sentence_replacement_stays_lowercase(self, constant):
@@ -202,7 +207,7 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("Noted Pyrexia today .")
-        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        (out, _, _), _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert [t.text for t in out] == ["Noted", "fever", "today", "."]
 
     def test_longer_replacement_shifts_following_tokens(self, constant):
@@ -210,9 +215,10 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"shortness": 0.1, "of": 0.5, "breath": 0.1, "dyspnoea": 1e-9})
         tokens = tokenize("dyspnoea worse at night .")
-        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        (out, norms, text), _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
         assert [t.text for t in out] == ["Shortness", "of", "breath", "worse", "at", "night", "."]
         assert [t.norm for t in out] == ["shortness", "of", "breath", "worse", "at", "night", "."]
+        assert norms == norms_of(out) and text == "Shortness of breath worse at night ."
 
     def test_spliced_norm_is_taken_after_capitalization(self, constant):
         # "ß".upper() is "SS", so the norm of a capitalized "ß..." is "ss...", as tokenize gives
@@ -220,8 +226,26 @@ class TestSimplifyOnce:
         lm = constant(-1.0)
         freq = FrequencyTable({"ßfever": 0.5, "pyrexia": 1e-9})
         tokens = tokenize("pyrexia .")
-        out, _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
-        assert out == tokenize("SSfever .")
+        (out, norms, _), _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        assert out == tuple(tokenize("SSfever ."))
+        assert norms == ("ssfever", ".")
+
+    def test_a_caller_cannot_alter_a_stored_output(self, two_stage):
+        table, lm, freq = two_stage
+        memo = ScoreMemo(lm, table, freq)
+        config = SimplifierConfig(alpha=1.0)
+        sentence = "Hyperlipidemia with elevated triglycerides ."
+        before = simplify(sentence, table, memo, freq, config).to_dict()
+        tokens = tokenize(sentence)
+        (out, _, _), _ = simplify_once(tokens, memo, config, norms_of(tokens))
+        kept = tuple(out)
+        # a stored output handed out as a list would take both edits
+        with contextlib.suppress(TypeError):
+            out[0] = Token("Bogus", "bogus")
+            out.append(Token("!", "!"))
+        (again, _, _), _ = simplify_once(tokens, memo, config, norms_of(tokens))
+        assert again == kept
+        assert simplify(sentence, table, memo, freq, config).to_dict() == before
 
     def test_rank_span_runs_once_per_span_per_pass(self, two_stage, monkeypatch):
         table, lm, freq = two_stage
@@ -249,8 +273,10 @@ class TestSimplifyOnce:
         # a pass that rewrites nothing still ranks each span once, and builds no candidates
         calls.clear()
         tokens = tokenize(result.final)
+        outputs = dict(memo.outputs)
         out, reps = simplify_once(tokens, memo, SimplifierConfig(alpha=1.0), norms_of(tokens))
-        assert (out, reps) == (tokens, [])
+        assert (out, reps) == ((tokens, norms_of(tokens), None), [])
+        assert memo.outputs == outputs
         assert [(span, ranked) for _, span, ranked in calls] == [(span, (span.matched, ())) for _, span in held[-2:]]
 
 
