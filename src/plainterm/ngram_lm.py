@@ -118,18 +118,14 @@ class NgramModel:
 
     def logprob(self, context: Sequence[str], word: str) -> float:
         """Natural-log P(word | context), backing off through shorter contexts."""
-        ids, base = self._table.ids, self._table.base
-        if word not in ids:
+        if word not in self._table.ids:
             raise ValueError(f"word {word!r} not in model vocabulary")
         # the last order - 1 context words; a word with no id is in no key,
         # so the context that is looked up starts after it
-        key = k = 0
-        for w in (*tuple(context)[max(len(context) - self.order + 1, 0) :], word):
-            if (word_id := ids.get(w)) is None:
-                key = k = 0
-            else:
-                key, k = key * base + word_id, k + 1
-        return self._logprob(key, k)
+        gram = (*tuple(context)[max(len(context) - self.order + 1, 0) :], word)
+        while (key := self._table.pack(gram)) is None:
+            gram = gram[1:]
+        return self._logprob(key, len(gram))
 
     def _logprob(self, key: int, k: int) -> float:
         # a loop, so a model of any order scores; the backoff weights are

@@ -60,6 +60,8 @@ class SimplifierConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not isinstance(self.max_iterations, int):
+            raise ValueError(f"max_iterations must be an int >= 1, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -126,14 +128,15 @@ class ScoreMemo:
     """Keeps what simplification computes that does not depend on alpha, and nothing else.
 
     A memo is bound to one scorer, one phrase table and one frequency table.
-    It asks a scorer other than an NgramModel once per row (rows, below).
-    Around an NgramModel it also keeps one dict of per-position
-    log-probabilities, keyed by NgramModel.logprobs's own arguments: words
-    and a number of start pads. A pass input's base is its whole-sentence
-    entry, with order - 1 pads; a window a splice rescored is its words with
-    the order - 1 words of left context, and as many pads as that context
-    lacks. Only a sentence's first pass input is scored whole; each later
-    one gets its base carried from the pass before (carry). It keeps the wf
+    rows is the one place a row's lm score is computed; it asks a scorer
+    other than an NgramModel once per row. Around an NgramModel it also
+    keeps one dict of per-position log-probabilities, keyed by
+    NgramModel.logprobs's own arguments: words and a number of start pads.
+    A pass input's base is its whole-sentence entry, with order - 1 pads; a
+    window a splice rescored is its words with the order - 1 words of left
+    context, and as many pads as that context lacks. Only a sentence's first
+    pass input is scored whole; each pass output gets its base carried from
+    its pass input when simplify_once makes it (carry). It keeps the wf
     score of each label, the tokens and norms of each input sentence
     (simplify), for each distinct pass input, keyed by its norms, its spans,
     each paired with its rows (rows, simplify_once), and each pass output,
@@ -185,36 +188,30 @@ class ScoreMemo:
         window = self._logprobs(sent[max(start - n, 0) : stop], max(n - start, 0))
         return base[:start] + window + base[stop + end - start - length :]
 
-    def score_splice(
-        self, norms: tuple[str, ...], start: int, end: int, label: Sequence[str]
-    ) -> tuple[tuple[str, ...], float]:
-        """Score norms with norms[start:end] replaced by label; return (sentence, score).
-
-        For an NgramModel the score is the fsum of norms' base with the
-        splice's window rescored (see _splice); the label that keeps the
-        matched text gives norms itself, whose score is the fsum of the base.
-        fsum of the same values in any order gives the same float, so the
-        score equals NgramModel.score of the sentence. Any other scorer
-        scores the whole sentence. rows keeps the score in its row.
-        """
-        sent = (*norms[:start], *label, *norms[end:])
-        if self.n is None:
-            return sent, self.lm.score(sent)
-        logps = self._logprobs(norms, self.n)
-        if sent != norms:
-            logps = self._splice(logps, sent, start, end, len(label))
-        return sent, math.fsum(logps) / len(sent)
-
     def rows(self, norms: tuple[str, ...], span: Span) -> list[_Row]:
         """The (term, sentence, lm, wf) row of each label of span's group, in label order.
 
-        The lm score is that of norms with the label spliced in (score_splice);
-        the wf score sees the bare term and is computed once per label. Only
-        simplify_once keeps rows (spans); each call makes them afresh.
+        This is the one place a row's lm score is computed. For an NgramModel
+        it is the fsum of norms' base, looked up once per call, with the
+        label's window rescored (see _splice), over the sentence's length; the
+        label that keeps the matched text gives norms itself, whose score is
+        the fsum of the base. fsum of the same values in any order gives the
+        same float, so the score equals NgramModel.score of the sentence. Any
+        other scorer is asked for each row's whole sentence. The wf score sees
+        the bare term and is computed once per label. Only simplify_once keeps
+        rows (spans); each call makes them afresh.
         """
+        start, end = span.start, span.end
+        base = None if self.n is None else self._logprobs(norms, self.n)
         rows = []
         for label in self.table.group(span.group_id).labels:
-            sent, lm_score = self.score_splice(norms, span.start, span.end, label)
+            kept = label == span.matched
+            sent = norms if kept else (*norms[:start], *label, *norms[end:])
+            if base is None:
+                lm_score = self.lm.score(sent)
+            else:
+                logps = base if kept else self._splice(base, sent, start, end, len(label))
+                lm_score = math.fsum(logps) / len(sent)
             wf_score = self.wfs.get(label)
             if wf_score is None:
                 wf_score = self.wfs[label] = wf(label, self.freq)
@@ -228,7 +225,9 @@ class ScoreMemo:
         norms still hold, and each window is rescored with every word to its
         right already final. The words spliced are the ones the pass wrote,
         out's norms: a sentence-initial "ß" is written "SS", whose norm is
-        "ss". Only an NgramModel has bases.
+        "ss". simplify_once calls it for each output it makes; an output that
+        is an earlier pass input, where the cycle guard stops, already has its
+        base. Only an NgramModel has bases.
         """
         key = (out, self.n)
         if self.n is None or key in self.logps:
@@ -280,8 +279,10 @@ def simplify_once(
     replacements): the output's tokens as a tuple, their norms and their
     detokenize text. The memo keeps that output, keyed by the input's tokens
     and each span's pick, so a pass that picks what an earlier one picked on
-    the same input splices nothing. A pass that rewrites nothing returns its
-    input tokens and norms, text None, and stores nothing.
+    the same input splices nothing; when it makes an output it also carries
+    that output's base (ScoreMemo.carry), so the next pass scores no base
+    whole. A pass that rewrites nothing returns its input tokens and norms,
+    text None, and stores nothing.
     """
     spans = memo.spans.get(norms)
     if spans is None:
@@ -309,6 +310,7 @@ def simplify_once(
             out[rep.span.start : rep.span.end] = [Token(w, w.lower()) for w in words]
         out = tuple(out)
         output = memo.outputs[key] = out, tuple(map(_NORM, out)), detokenize(out)
+        memo.carry(norms, output[1], replacements)
     return output, replacements
 
 
@@ -329,7 +331,8 @@ def simplify(
     alpha; it must be bound to this table and this frequency table, or
     ValueError is raised. The input's memoized norms seed the cycle guard;
     each later pass input's norms, and the final text, are those of the
-    pass output simplify_once returns, lowercased and joined once per memo.
+    pass output simplify_once returns, lowercased and joined once per memo,
+    and simplify_once has already carried that input's base.
     """
     if isinstance(lm, ScoreMemo):
         memo = lm
@@ -355,6 +358,5 @@ def simplify(
             if out in seen:
                 break
             seen.add(out)
-            memo.carry(norms, out, replacements)
             norms = out
     return SimplificationResult(sentence, final, trace)

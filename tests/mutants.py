@@ -54,8 +54,8 @@ MUTANTS = [
     (
         "base-keyed-with-no-pads",
         "src/plainterm/simplifier.py",
-        "logps = self._logprobs(norms, self.n)",
-        "logps = self._logprobs(norms, 0)",
+        "base = None if self.n is None else self._logprobs(norms, self.n)",
+        "base = None if self.n is None else self._logprobs(norms, 0)",
     ),
     # the carried base stored where the next pass does not look, which then scores its input whole
     (
@@ -63,6 +63,13 @@ MUTANTS = [
         "src/plainterm/simplifier.py",
         "self.logps[key] = base",
         "self.logps[(out, 0)] = base",
+    ),
+    # a new pass output left without a base, so the next pass scores its input whole
+    (
+        "output-base-not-carried",
+        "src/plainterm/simplifier.py",
+        "        memo.carry(norms, output[1], replacements)\n",
+        "",
     ),
     # every window read after a full context of start pads, whatever its place in the sentence
     (

@@ -22,8 +22,9 @@ from plainterm.ngram_lm import (
     save_arpa,
     train,
 )
-from plainterm.ontology import PhraseTable
+from plainterm.ontology import AlternativeGroup, PhraseTable
 from plainterm.simplifier import ScoreMemo
+from plainterm.textproc import Span
 from plainterm.wordfreq import FrequencyTable
 
 from oracles import frozen_load_arpa, frozen_save_arpa, frozen_train
@@ -101,6 +102,9 @@ class TestModelInvariants:
         model = train(["a b", "b a"], order=3, discount=0.5, min_count=1)
         # a context never observed contributes no backoff penalty
         assert model.logprob(["b", "b"], "a") == model.logprob(["b"], "a")
+        # a context word the model has never seen starts the context after it
+        assert model.logprob(["zzz", "b"], "a") == model.logprob(["b"], "a")
+        assert model.logprob(["b", "zzz"], "a") == model.logprob([], "a")
 
     def test_training_is_order_independent(self):
         rng = random.Random(5)
@@ -555,16 +559,24 @@ def test_window_scores_equal_whole_sentence_scores():
     )
     def check(corpus, order, min_count, sentence, splices):
         model = train(corpus, order=order, min_count=min_count)
-        memo = ScoreMemo(model, PhraseTable.from_groups([]), FrequencyTable())
+        memo = ScoreMemo(model, PhraseTable([]), FrequencyTable())
         norms = tuple(sentence)
         for a, b, label in splices:
             start, end = sorted((min(a, len(norms)), min(b, len(norms))))
+            label, matched = tuple(label), norms[start:end]
             sent = (*norms[:start], *label, *norms[end:])
             whole = model.score(sent)
             logps, depth = backoff_walk(model, sent, order - 1)
             reference = math.fsum(logps) / len(logps)
-            assert memo.score_splice(norms, start, end, tuple(label)) == (sent, whole)
-            assert whole == reference
+            # the matched words are a row too, unless they are empty (start == end) or
+            # the label itself, which is then the row that keeps them; one memo across
+            # the splices, so a window memoized for one is read by the next
+            labels = (label,) if matched in ((), label) else (matched, label)
+            memo.table = PhraseTable([AlternativeGroup(0, labels)])
+            rows = memo.rows(norms, Span(start, end, 0, matched))
+            (row,) = [row for row in rows if row[0] == label]
+            assert row[1] == sent
+            assert row[2] == whole == reference
             depths.add(depth)
 
     check()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import plainterm.simplifier
 from plainterm.ngram_lm import LookupScorer, load_arpa, save_arpa, train
-from plainterm.ontology import PhraseTable, align, normalize_label, parse_records, read_table
+from plainterm.ontology import AlternativeGroup, PhraseTable, align, normalize_label, parse_records, read_table
 from plainterm.simplifier import (
     Candidate,
     Replacement,
@@ -52,6 +52,10 @@ class TestConfig:
     def test_iteration_floor(self):
         with pytest.raises(ValueError, match="max_iterations"):
             SimplifierConfig(max_iterations=0)
+        # a float that passes the floor would fail later, inside simplify's range()
+        for value in (2.5, float("inf"), 1.0):
+            with pytest.raises(ValueError, match="max_iterations must be an int >= 1"):
+                SimplifierConfig(max_iterations=value)
 
     def test_a_config_cannot_be_changed_past_its_checks(self):
         # an alpha of 5 assigned after the [0, 1] check would invert the ranking
@@ -476,8 +480,12 @@ class TestWindowScoring:
             (("x", "b", "q", "y", "z", "v"), 2, 3, ("c",)),
         ]
         for norms, start, end, label in splices:
-            sent, score = memo.score_splice(norms, start, end, label)
-            assert score == model.score(sent)
+            matched = norms[start:end]
+            memo.table = PhraseTable([AlternativeGroup(0, (matched, label))])
+            rows = memo.rows(norms, Span(start, end, 0, matched))
+            (row,) = [row for row in rows if row[0] == label]
+            assert row[1] == (*norms[:start], *label, *norms[end:])
+            assert row[2] == model.score(row[1])
         # each pass input's base, with two start pads, and the two windows
         bases = {(norms, 2) for norms, *_ in splices}
         assert set(memo.logps) == bases | {(("x", "b", "c", "y", "z"), 1), (("x", "b", "c", "y", "z"), 0)}
