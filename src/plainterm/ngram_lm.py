@@ -444,8 +444,9 @@ def _next_line(numbered: Iterator[tuple[int, str]], line_no: int) -> tuple[int, 
 def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
     """Parse an ARPA file back into a model; errors name the offending line.
 
-    Reads the stream once. Blank lines are ignored anywhere, every value must
-    be finite, an n-gram may not repeat within its section, and every word of
+    Reads the stream once. Blank lines are ignored anywhere, each order's
+    count is declared once, every value must be finite, an n-gram may not
+    repeat within its section, and every word of
     a higher-order n-gram must have a 1-gram entry. All contexts whose backoff
     weight has the same text hold the same float.
     """
@@ -460,9 +461,12 @@ def load_arpa(stream: IO[str] | Iterable[str]) -> NgramModel:
             break
         try:
             order_text, count_text = stripped[len("ngram ") :].split("=", 1)
-            declared[int(order_text)] = int(count_text)
+            order, count = int(order_text), int(count_text)
         except ValueError:
             raise ValueError(f"line {line_no}: bad ngram count declaration {line!r}") from None
+        if order in declared:
+            raise ValueError(f"line {line_no}: ngram count for order {order} declared twice")
+        declared[order] = count
         last_declaration = line_no
     if not declared:
         raise ValueError(f"line {line_no}: no ngram counts declared")

@@ -21,8 +21,8 @@ from .wordfreq import FrequencyTable, wf
 _NORM = attrgetter("norm")
 # a span row: the term, the sentence with it spliced in, and its lm and wf scores
 _Row = tuple[Label, tuple[str, ...], float, float]
-# a pass output: its tokens, their norms and their detokenize text
-_Output = tuple[tuple[Token, ...], tuple[str, ...], str]
+# a pass input or output: its tokens, their norms and its text
+_Pass = tuple[tuple[Token, ...], tuple[str, ...], str]
 
 __all__ = [
     "Candidate",
@@ -135,15 +135,15 @@ class ScoreMemo:
     A pass input's base is its whole-sentence entry, with order - 1 pads; a
     window a splice rescored is its words with the order - 1 words of left
     context, and as many pads as that context lacks. Only a sentence's first
-    pass input is scored whole; each pass output gets its base carried from
-    its pass input when simplify_once makes it (carry). It keeps the wf
-    score of each label, the tokens and norms of each input sentence
-    (simplify), for each distinct pass input, keyed by its norms, its spans,
+    pass input is scored whole; output splices each pass output's base from
+    its pass input's in the walk that makes the output. It keeps the wf
+    score of each label, each input sentence's first pass record (tokens,
+    simplify), for each distinct pass input, keyed by its norms, its spans,
     each paired with its rows (rows, simplify_once), and each pass output,
     keyed by its pass input's tokens and the pick of each span (outputs,
-    simplify_once). Only rank_span's combined score and argmax depend on
-    alpha, so grid_search_alpha shares one memo across its whole grid, and a
-    grid point that picks what an earlier one picked on the same pass input
+    output). Only rank_span's combined score and argmax depend on alpha, so
+    grid_search_alpha shares one memo across its whole grid, and a grid
+    point that picks what an earlier one picked on the same pass input
     reuses that pass's output.
 
     It keeps everything it has seen, so make one per call that simplifies
@@ -159,13 +159,13 @@ class ScoreMemo:
         # (words, start pads) -> NgramModel.logprobs(words, pads)
         self.logps: dict[tuple[tuple[str, ...], int], list[float]] = {}
         self.wfs: dict[Label, float] = {}
-        # sentence -> (its tokens, their norms)
-        self.tokens: dict[str, tuple[tuple[Token, ...], tuple[str, ...]]] = {}
+        # sentence -> its first pass input, (tokens, norms, sentence)
+        self.tokens: dict[str, _Pass] = {}
         # norms -> (span, its rows) for each span of that pass input
         self.spans: dict[tuple[str, ...], list[tuple[Span, list[_Row]]]] = {}
         # (pass input tokens, the pick of each span) -> that pass's output; the
         # key holds texts, not norms, as case variants write different text
-        self.outputs: dict[tuple[tuple[Token, ...], tuple[Label, ...]], _Output] = {}
+        self.outputs: dict[tuple[tuple[Token, ...], tuple[Label, ...]], _Pass] = {}
 
     def _logprobs(self, words: tuple[str, ...], pads: int) -> list[float]:
         key = (words, pads)
@@ -218,28 +218,42 @@ class ScoreMemo:
             rows.append((label, sent, lm_score, wf_score))
         return rows
 
-    def carry(self, norms: tuple[str, ...], out: tuple[str, ...], replacements: Sequence[Replacement]) -> None:
-        """Give pass output out, the next pass input, a base spliced from that of its pass input norms.
+    def output(self, current: _Pass, picks: tuple[Label, ...], replacements: Sequence[Replacement]) -> _Pass:
+        """The pass record of current with each replacement's chosen term spliced in.
 
-        The replacements are spliced right to left, so each span's offsets in
-        norms still hold, and each window is rescored with every word to its
-        right already final. The words spliced are the ones the pass wrote,
-        out's norms: a sentence-initial "ß" is written "SS", whose norm is
-        "ss". simplify_once calls it for each output it makes; an output that
-        is an earlier pass input, where the cycle guard stops, already has its
-        base. Only an NgramModel has bases.
+        This is the one place a pass's replacements are applied. picks is the
+        pick of every span of the pass, kept ones too; with current's tokens
+        it keys outputs, so an output is made once per memo. Making it walks
+        the replacements right to left, so each span's offsets in current
+        still hold: a span at 0 is capitalized, each new token's norm is taken
+        after capitalization, as tokenize would take it ("ß" is written "SS",
+        whose norm is "ss"), and the tokens and their norms are spliced in.
+        For an NgramModel the same walk splices the output's base from
+        current's, rescoring each window with every word to its right already
+        final (see _splice), so the next pass scores no base whole. An output
+        that is an earlier pass input, where the cycle guard stops, keeps the
+        base that input already has.
         """
-        key = (out, self.n)
-        if self.n is None or key in self.logps:
-            return
-        base, sent = self._logprobs(norms, self.n), norms
-        for rep in reversed(replacements):
-            start, end = rep.span.start, rep.span.end
-            # only a span at 0 is capitalized, and nothing to its left has moved its words
-            words = out[: len(rep.chosen)] if start == 0 else rep.chosen
-            sent = (*sent[:start], *words, *sent[end:])
-            base = self._splice(base, sent, start, end, len(words))
-        self.logps[key] = base
+        tokens, norms, _ = current
+        key = (tokens, picks)
+        output = self.outputs.get(key)
+        if output is None:
+            base = None if self.n is None else self._logprobs(norms, self.n)
+            out, sent = list(tokens), norms
+            for rep in reversed(replacements):
+                start, end = rep.span.start, rep.span.end
+                words = list(rep.chosen)
+                if start == 0:
+                    words[0] = words[0][:1].upper() + words[0][1:]
+                new = [Token(w, w.lower()) for w in words]
+                out[start:end] = new
+                sent = (*sent[:start], *map(_NORM, new), *sent[end:])
+                if base is not None:
+                    base = self._splice(base, sent, start, end, len(words))
+            if base is not None:
+                self.logps.setdefault((sent, self.n), base)
+            output = self.outputs[key] = tuple(out), sent, detokenize(out)
+        return output
 
 
 def rank_span(rows: Sequence[_Row], span: Span, alpha: float) -> tuple[Label, tuple[Candidate, ...]]:
@@ -263,27 +277,16 @@ def rank_span(rows: Sequence[_Row], span: Span, alpha: float) -> tuple[Label, tu
     return chosen, tuple([Candidate(*row, c) for row, c in zip(rows, combined)])
 
 
-def simplify_once(
-    tokens: Sequence[Token],
-    memo: ScoreMemo,
-    config: SimplifierConfig,
-    norms: tuple[str, ...],
-) -> tuple[tuple[Sequence[Token], tuple[str, ...], str | None], list[Replacement]]:
-    """Run one pass: rank every span against this pass's input and splice winners.
+def simplify_once(current: _Pass, memo: ScoreMemo, config: SimplifierConfig) -> tuple[_Pass, list[Replacement]]:
+    """Run one pass on current, a (tokens, norms, text) record: rank every span and apply the winners.
 
-    All spans are ranked against the same input sentence, then applied right to
-    left so earlier span offsets stay valid. norms are the lowercased tokens,
-    which simplify has already taken for its cycle guard. The memo keeps each
+    All spans are ranked against the same pass input. The memo keeps each
     distinct pass input's spans with their rows, keyed by its norms, and each
-    span is ranked once by rank_span. Returns ((tokens, norms, text),
-    replacements): the output's tokens as a tuple, their norms and their
-    detokenize text. The memo keeps that output, keyed by the input's tokens
-    and each span's pick, so a pass that picks what an earlier one picked on
-    the same input splices nothing; when it makes an output it also carries
-    that output's base (ScoreMemo.carry), so the next pass scores no base
-    whole. A pass that rewrites nothing returns its input tokens and norms,
-    text None, and stores nothing.
+    span is ranked once by rank_span. Returns (output, replacements), output
+    being the record ScoreMemo.output makes or finds for this pass's picks;
+    a pass that rewrites nothing returns current itself and stores nothing.
     """
+    tokens, norms, _ = current
     spans = memo.spans.get(norms)
     if spans is None:
         spans = memo.spans[norms] = [(span, memo.rows(norms, span)) for span in extract_spans(tokens, memo.table)]
@@ -297,21 +300,8 @@ def simplify_once(
         if candidates:
             replacements.append(Replacement(span, chosen, candidates))
     if not replacements:
-        return (tokens, norms, None), replacements
-    key = (tuple(tokens), tuple(picks))
-    output = memo.outputs.get(key)
-    if output is None:
-        out = list(tokens)
-        for rep in reversed(replacements):
-            words = list(rep.chosen)
-            if rep.span.start == 0:
-                words[0] = words[0][:1].upper() + words[0][1:]
-            # norm is taken after capitalization, as tokenize would take it
-            out[rep.span.start : rep.span.end] = [Token(w, w.lower()) for w in words]
-        out = tuple(out)
-        output = memo.outputs[key] = out, tuple(map(_NORM, out)), detokenize(out)
-        memo.carry(norms, output[1], replacements)
-    return output, replacements
+        return current, replacements
+    return memo.output(current, tuple(picks), replacements), replacements
 
 
 def simplify(
@@ -329,10 +319,13 @@ def simplify(
     gets a ScoreMemo for this call, which says how often a scorer is asked.
     A ScoreMemo passed in keeps all it computes for later calls, at any
     alpha; it must be bound to this table and this frequency table, or
-    ValueError is raised. The input's memoized norms seed the cycle guard;
-    each later pass input's norms, and the final text, are those of the
-    pass output simplify_once returns, lowercased and joined once per memo,
-    and simplify_once has already carried that input's base.
+    ValueError is raised. Each pass input is a (tokens, norms, text) record:
+    the first is the memo's record of the sentence, and each later one the
+    output the pass before returned. Iteration stops when a pass returns a
+    record whose norms were an earlier pass input's: a pass that rewrites
+    nothing returns its input (converged), and any other is a cycle. The
+    final text is the last record's, so a sentence nothing rewrote comes
+    back verbatim.
     """
     if isinstance(lm, ScoreMemo):
         memo = lm
@@ -340,23 +333,17 @@ def simplify(
             raise ValueError("a ScoreMemo serves one phrase table and one frequency table")
     else:
         memo = ScoreMemo(lm, table, freq)
-    known = memo.tokens.get(sentence)
-    if known is None:
+    current = memo.tokens.get(sentence)
+    if current is None:
         tokens = tuple(tokenize(sentence))
-        known = memo.tokens[sentence] = tokens, tuple(map(_NORM, tokens))
-    tokens, norms = known
-    final = sentence
+        current = memo.tokens[sentence] = tokens, tuple(map(_NORM, tokens)), sentence
     trace: list[tuple[Replacement, ...]] = []
-    if tokens:
-        seen = {norms}
+    if current[0]:
+        seen = {current[1]}
         for _ in range(config.max_iterations):
-            (tokens, out, text), replacements = simplify_once(tokens, memo, config, norms)
+            current, replacements = simplify_once(current, memo, config)
             trace.append(tuple(replacements))
-            if not replacements:
+            if current[1] in seen:
                 break
-            final = text
-            if out in seen:
-                break
-            seen.add(out)
-            norms = out
-    return SimplificationResult(sentence, final, trace)
+            seen.add(current[1])
+    return SimplificationResult(sentence, current[2], trace)

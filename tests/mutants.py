@@ -54,21 +54,28 @@ MUTANTS = [
     (
         "base-keyed-with-no-pads",
         "src/plainterm/simplifier.py",
-        "base = None if self.n is None else self._logprobs(norms, self.n)",
-        "base = None if self.n is None else self._logprobs(norms, 0)",
+        "start, end = span.start, span.end\n        base = None if self.n is None else self._logprobs(norms, self.n)",
+        "start, end = span.start, span.end\n        base = None if self.n is None else self._logprobs(norms, 0)",
+    ),
+    # the same in output, so each pass output's base is spliced from one scored without start pads
+    (
+        "output-base-keyed-with-no-pads",
+        "src/plainterm/simplifier.py",
+        "if output is None:\n            base = None if self.n is None else self._logprobs(norms, self.n)",
+        "if output is None:\n            base = None if self.n is None else self._logprobs(norms, 0)",
     ),
     # the carried base stored where the next pass does not look, which then scores its input whole
     (
         "carry-stores-an-unread-key",
         "src/plainterm/simplifier.py",
-        "self.logps[key] = base",
-        "self.logps[(out, 0)] = base",
+        "self.logps.setdefault((sent, self.n), base)",
+        "self.logps.setdefault((sent, 0), base)",
     ),
     # a new pass output left without a base, so the next pass scores its input whole
     (
         "output-base-not-carried",
         "src/plainterm/simplifier.py",
-        "        memo.carry(norms, output[1], replacements)\n",
+        "            if base is not None:\n                self.logps.setdefault((sent, self.n), base)\n",
         "",
     ),
     # every window read after a full context of start pads, whatever its place in the sentence
@@ -78,11 +85,12 @@ MUTANTS = [
         "history = [ids[START]] * pads",
         "history = [ids[START]] * n",
     ),
+    # the base spliced over the chosen words, not the norms of the words written
     (
         "carry-splices-chosen",
         "src/plainterm/simplifier.py",
-        "words = out[: len(rep.chosen)] if start == 0 else rep.chosen",
-        "words = rep.chosen",
+        "sent = (*sent[:start], *map(_NORM, new), *sent[end:])",
+        "sent = (*sent[:start], *rep.chosen, *sent[end:])",
     ),
     (
         "carry-window-one-short",
@@ -101,22 +109,22 @@ MUTANTS = [
     (
         "tokens-memo-keyed-by-lowercase",
         "src/plainterm/simplifier.py",
-        "known = memo.tokens.get(sentence)\n    if known is None:\n        tokens = tuple(tokenize(sentence))\n        known = memo.tokens[sentence] =",
-        "known = memo.tokens.get(sentence.lower())\n    if known is None:\n        tokens = tuple(tokenize(sentence))\n        known = memo.tokens[sentence.lower()] =",
+        "current = memo.tokens.get(sentence)\n    if current is None:\n        tokens = tuple(tokenize(sentence))\n        current = memo.tokens[sentence] =",
+        "current = memo.tokens.get(sentence.lower())\n    if current is None:\n        tokens = tuple(tokenize(sentence))\n        current = memo.tokens[sentence.lower()] =",
     ),
     # one stored pass output for case variants, which share norms but not text
     (
         "outputs-memo-keyed-by-norms",
         "src/plainterm/simplifier.py",
-        "key = (tuple(tokens), tuple(picks))",
-        "key = (norms, tuple(picks))",
+        "key = (tokens, picks)",
+        "key = (norms, picks)",
     ),
     # one stored pass output per pass input, so every grid point reuses the first one's rewrite
     (
         "outputs-memo-without-picks",
         "src/plainterm/simplifier.py",
-        "key = (tuple(tokens), tuple(picks))",
-        "key = tuple(tokens)",
+        "key = (tokens, picks)",
+        "key = tokens",
     ),
     # rank_span's tie rule: an exact tie in combined goes to the higher lm score
     (
@@ -138,11 +146,12 @@ MUTANTS = [
         "if combined.count(best) > 1:",
         "if False:",
     ),
+    # iteration stops only on a pass that rewrites nothing, so a cycle runs to the cap
     (
         "no-cycle-guard",
         "src/plainterm/simplifier.py",
-        "            if out in seen:\n                break\n",
-        "",
+        "if current[1] in seen:",
+        "if not replacements:",
     ),
     (
         "splice-capitalize",

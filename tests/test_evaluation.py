@@ -436,10 +436,10 @@ class TestGridSearch:
         passes = set()
         simplify_once = simplifier.simplify_once
 
-        def recorded(tokens, *args):
-            output, replacements = simplify_once(tokens, *args)
+        def recorded(current, *args):
+            output, replacements = simplify_once(current, *args)
             if replacements:
-                passes.add((tuple(tokens), tuple((rep.span, rep.chosen) for rep in replacements)))
+                passes.add((current[0], tuple((rep.span, rep.chosen) for rep in replacements)))
             return output, replacements
 
         monkeypatch.setattr(simplifier, "simplify_once", recorded)

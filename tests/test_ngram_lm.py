@@ -216,6 +216,13 @@ class TestArpa:
         with pytest.raises(ValueError, match=f"line {last}: ngram count declarations must cover orders 1..N"):
             load_arpa(io.StringIO("\\data\\\n" + declarations))
 
+    # a repeat is refused whether the first count contradicts the section or matches it
+    @pytest.mark.parametrize("first", [9, 2])
+    def test_order_declared_twice(self, first):
+        text = self.arpa_text().replace("ngram 1=2\n", f"ngram 1={first}\nngram 1=2\n")
+        with pytest.raises(ValueError, match="line 3: ngram count for order 1 declared twice"):
+            load_arpa(io.StringIO(text))
+
     def test_missing_section(self):
         text = "\\data\\\nngram 1=2\n\n\\end\\\n"
         with pytest.raises(ValueError, match=r"expected \\1-grams: section"):

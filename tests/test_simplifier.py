@@ -30,6 +30,12 @@ def norms_of(tokens):
     return tuple(t.norm for t in tokens)
 
 
+def pass_input(sentence):
+    """The (tokens, norms, text) record simplify makes for sentence's first pass."""
+    tokens = tuple(tokenize(sentence))
+    return tokens, norms_of(tokens), sentence
+
+
 def span_for(sentence, table):
     tokens = tokenize(sentence)
     spans = extract_spans(tokens, table)
@@ -170,8 +176,8 @@ class TestSimplifyOnce:
         table = PhraseTable.from_groups([["big", "large"]])
         lm = LookupScorer({"a big dog .": -2.0, "a large dog .": -1.0})
         freq = FrequencyTable({})
-        tokens = tokenize("a big dog .")
-        (out, norms, text), reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0), norms_of(tokens))
+        current = pass_input("a big dog .")
+        (out, norms, text), reps = simplify_once(current, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0))
         assert [t.text for t in out] == ["a", "large", "dog", "."]
         assert (norms, text) == (("a", "large", "dog", "."), "a large dog .")
         assert len(reps) == 1
@@ -181,19 +187,19 @@ class TestSimplifyOnce:
         table = PhraseTable.from_groups([["big", "large"]])
         lm = LookupScorer({"a big dog .": -1.0, "a large dog .": -2.0})
         freq = FrequencyTable({})
-        tokens = tokenize("a big dog .")
-        (out, norms, text), reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0), norms_of(tokens))
+        current = pass_input("a big dog .")
+        output, reps = simplify_once(current, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=1.0))
         assert reps == []
-        # the input comes back as given, with no text
-        assert out is tokens and norms == norms_of(tokens) and text is None
-        assert [t.text for t in out] == ["a", "big", "dog", "."]
+        # the input record itself comes back
+        assert output is current
+        assert [t.text for t in output[0]] == ["a", "big", "dog", "."]
 
     def test_multiple_spans_replaced_in_one_pass(self, constant):
         table = PhraseTable.from_groups([["pyrexia", "fever"], ["otalgia", "earache"]])
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "earache": 0.5, "pyrexia": 1e-9, "otalgia": 1e-9})
-        tokens = tokenize("pyrexia and otalgia .")
-        (out, _, text), reps = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        current = pass_input("pyrexia and otalgia .")
+        (out, _, text), reps = simplify_once(current, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Fever", "and", "earache", "."]
         assert text == "Fever and earache ."
         assert len(reps) == 2
@@ -202,24 +208,24 @@ class TestSimplifyOnce:
         table = PhraseTable.from_groups([["pyrexia", "fever"]])
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
-        tokens = tokenize("Pyrexia was noted .")
-        (out, _, _), _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        current = pass_input("Pyrexia was noted .")
+        (out, _, _), _ = simplify_once(current, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Fever", "was", "noted", "."]
 
     def test_mid_sentence_replacement_stays_lowercase(self, constant):
         table = PhraseTable.from_groups([["pyrexia", "fever"]])
         lm = constant(-1.0)
         freq = FrequencyTable({"fever": 0.5, "pyrexia": 1e-9})
-        tokens = tokenize("Noted Pyrexia today .")
-        (out, _, _), _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        current = pass_input("Noted Pyrexia today .")
+        (out, _, _), _ = simplify_once(current, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Noted", "fever", "today", "."]
 
     def test_longer_replacement_shifts_following_tokens(self, constant):
         table = PhraseTable.from_groups([["dyspnoea", "shortness of breath"]])
         lm = constant(-1.0)
         freq = FrequencyTable({"shortness": 0.1, "of": 0.5, "breath": 0.1, "dyspnoea": 1e-9})
-        tokens = tokenize("dyspnoea worse at night .")
-        (out, norms, text), _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        current = pass_input("dyspnoea worse at night .")
+        (out, norms, text), _ = simplify_once(current, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert [t.text for t in out] == ["Shortness", "of", "breath", "worse", "at", "night", "."]
         assert [t.norm for t in out] == ["shortness", "of", "breath", "worse", "at", "night", "."]
         assert norms == norms_of(out) and text == "Shortness of breath worse at night ."
@@ -229,8 +235,8 @@ class TestSimplifyOnce:
         table = PhraseTable.from_groups([["pyrexia", "ßfever"]])
         lm = constant(-1.0)
         freq = FrequencyTable({"ßfever": 0.5, "pyrexia": 1e-9})
-        tokens = tokenize("pyrexia .")
-        (out, norms, _), _ = simplify_once(tokens, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0), norms_of(tokens))
+        current = pass_input("pyrexia .")
+        (out, norms, _), _ = simplify_once(current, ScoreMemo(lm, table, freq), SimplifierConfig(alpha=0.0))
         assert out == tuple(tokenize("SSfever ."))
         assert norms == ("ssfever", ".")
 
@@ -240,14 +246,14 @@ class TestSimplifyOnce:
         config = SimplifierConfig(alpha=1.0)
         sentence = "Hyperlipidemia with elevated triglycerides ."
         before = simplify(sentence, table, memo, freq, config).to_dict()
-        tokens = tokenize(sentence)
-        (out, _, _), _ = simplify_once(tokens, memo, config, norms_of(tokens))
+        current = pass_input(sentence)
+        (out, _, _), _ = simplify_once(current, memo, config)
         kept = tuple(out)
         # a stored output handed out as a list would take both edits
         with contextlib.suppress(TypeError):
             out[0] = Token("Bogus", "bogus")
             out.append(Token("!", "!"))
-        (again, _, _), _ = simplify_once(tokens, memo, config, norms_of(tokens))
+        (again, _, _), _ = simplify_once(current, memo, config)
         assert again == kept
         assert simplify(sentence, table, memo, freq, config).to_dict() == before
 
@@ -276,10 +282,10 @@ class TestSimplifyOnce:
         assert all(ranked == (span.matched, ()) for _, span, ranked in calls if not ranked[1])
         # a pass that rewrites nothing still ranks each span once, and builds no candidates
         calls.clear()
-        tokens = tokenize(result.final)
+        current = pass_input(result.final)
         outputs = dict(memo.outputs)
-        out, reps = simplify_once(tokens, memo, SimplifierConfig(alpha=1.0), norms_of(tokens))
-        assert (out, reps) == ((tokens, norms_of(tokens), None), [])
+        output, reps = simplify_once(current, memo, SimplifierConfig(alpha=1.0))
+        assert output is current and reps == []
         assert memo.outputs == outputs
         assert [(span, ranked) for _, span, ranked in calls] == [(span, (span.matched, ())) for _, span in held[-2:]]
 
@@ -448,9 +454,9 @@ class TestWindowScoring:
         passes = Counter()
         simplify_once = plainterm.simplifier.simplify_once
 
-        def recorded(tokens, *args):
-            passes[tuple(t.norm for t in tokens)] += 1
-            return simplify_once(tokens, *args)
+        def recorded(current, *args):
+            passes[current[1]] += 1
+            return simplify_once(current, *args)
 
         def scored_whole():
             # a base is a pass input with all order - 1 start pads
@@ -616,7 +622,7 @@ LM_LABELS = st.lists(st.sampled_from(LM_WORDS), min_size=1, max_size=2).map(" ".
     alpha=st.sampled_from([0.0, 0.5, 1.0]),
     max_iterations=st.integers(1, 5),
 )
-# a carry that spliced rep.chosen, "ß", where the pass wrote "SS" changed this trace
+# an output base spliced over rep.chosen, "ß", where the pass wrote "SS", changed this trace
 @example(
     corpus=["ss x y", "b x y", "ß x", "c x y ss", "x ss y", "ss ss x"],
     order=3,
