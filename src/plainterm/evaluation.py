@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
+from contextvars import ContextVar
 from dataclasses import astuple, dataclass, fields
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -52,6 +53,12 @@ MAX_BOOTSTRAP_ITERATIONS = 10**6
 MAX_REPLICATIONS = 10**6
 # a report writes a system id as it is, so it may hold no tab and no str.splitlines line boundary
 _REPORT_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+# a text's word count and its n-gram counts for n = 1..4, as SARI reads them
+_Counts = tuple[int, tuple[Counter[tuple[str, ...]], ...]]
+# the counts of every text SARI has seen in the open grid_search_alpha call;
+# None, the default, outside one, where _ngram_counts keeps nothing
+_grid_counts: ContextVar[dict[str, _Counts] | None] = ContextVar("_grid_counts", default=None)
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,28 @@ def _f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p > 0 or r > 0 else 0.0
 
 
+def _check_sentences(name: str, value: Sequence[str]) -> None:
+    """Raise ValueError for a bare str where a sequence of sentences is expected."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a sequence of sentences, not a str")
+
+
+def _ngram_counts(text: str) -> _Counts:
+    """The lowercased, whitespace-split text's word count and its n-gram Counters, n = 1..4.
+
+    Inside grid_search_alpha each distinct text is counted once for the whole
+    grid; the Counters handed out are shared, so callers must not update them.
+    """
+    memo = _grid_counts.get()
+    if memo is not None and (counts := memo.get(text)) is not None:
+        return counts
+    words = text.lower().split()
+    counts = len(words), tuple(Counter(ngrams(words, n)) for n in range(1, 5))
+    if memo is not None:
+        memo[text] = counts
+    return counts
+
+
 def sari_components(source: str, output: str, references: Sequence[str]) -> tuple[float, float, float]:
     """Keep, delete, and add components on a 0..100 scale, each averaged over n=1..4.
 
@@ -187,24 +216,23 @@ def sari_components(source: str, output: str, references: Sequence[str]) -> tupl
     and delete ratios are added one by one in the source n-grams' first-occurrence
     order, not by sum(), so a score is the same float on Python 3.10 to 3.12.
     """
+    _check_sentences("references", references)
     if not references:
         raise ValueError("at least one reference required")
-    src = source.lower().split()
-    out = output.lower().split()
-    if not src and not out:
+    src_len, src = _ngram_counts(source)
+    out_len, out = _ngram_counts(output)
+    if not src_len and not out_len:
         raise ValueError("source and output are both empty")
-    refs = [r.lower().split() for r in references]
+    refs = [_ngram_counts(r) for r in references]
     # a blank reference would score every kept word as a miss, rewarding rewrites
-    if not all(refs):
+    if not all(length for length, _ in refs):
         raise ValueError("empty reference")
     numref = len(refs)
     keep_sum = del_sum = add_sum = 0.0
-    for n in range(1, 5):
-        s_counts = Counter(ngrams(src, n))
-        c_counts = Counter(ngrams(out, n))
-        r_counts: Counter[tuple[str, ...]] = Counter()
-        for ref in refs:
-            r_counts.update(ngrams(ref, n))
+    for n in range(4):
+        s_counts, c_counts = src[n], out[n]
+        # several references are summed into a fresh Counter, as the stored ones are shared
+        r_counts = refs[0][1][n] if numref == 1 else sum((counts[n] for _, counts in refs), Counter())
 
         keep_p = keep_r = delete = 0.0
         keep_cands = keep_alls = del_cands = 0
@@ -247,6 +275,9 @@ def mean_sari(sources: Sequence[str], outputs: Sequence[str], references: Sequen
     A pair that SARI cannot score raises its ValueError prefixed with the
     pair's 1-based line.
     """
+    _check_sentences("sources", sources)
+    _check_sentences("outputs", outputs)
+    _check_sentences("references", references)
     if not (len(sources) == len(outputs) == len(references)):
         raise ValueError("sources, outputs and references must have the same number of lines")
     if not outputs:
@@ -267,6 +298,8 @@ def bleu(outputs: Sequence[str], references: Sequence[str]) -> float:
     whole score, as in the original definition. An empty output line is
     allowed; a blank reference raises ValueError naming its 1-based line.
     """
+    _check_sentences("outputs", outputs)
+    _check_sentences("references", references)
     if len(outputs) != len(references):
         raise ValueError(
             f"outputs and references must have the same length, got {len(outputs)} and {len(references)}"
@@ -373,7 +406,9 @@ def grid_search_alpha(
     each sentence is tokenized, each pass input matched and each span's
     candidates scored once for the whole grid; a scorer other than an
     NgramModel is asked once per (pass input, span, label) row. Each grid
-    point recomputes only the combined scores and their argmax.
+    point recomputes only the combined scores and their argmax. SARI still
+    walks every (source, output, reference) triple at every grid point, but
+    each distinct text's n-grams are counted once for the whole grid.
     """
     pairs = list(dev_pairs)
     if not pairs:
@@ -384,10 +419,14 @@ def grid_search_alpha(
     memo = ScoreMemo(lm, table, freq)
     sources, references = zip(*pairs)
     curve: list[tuple[float, float]] = []
-    for alpha in points:
-        config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
-        outputs = [simplify(source, table, memo, freq, config).final for source in sources]
-        curve.append((alpha, mean_sari(sources, outputs, references)))
+    scope = _grid_counts.set({})
+    try:
+        for alpha in points:
+            config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
+            outputs = [simplify(source, table, memo, freq, config).final for source in sources]
+            curve.append((alpha, mean_sari(sources, outputs, references)))
+    finally:
+        _grid_counts.reset(scope)
     best_alpha, _ = max(curve, key=lambda point: (point[1], -point[0]))
     return best_alpha, curve
 

@@ -309,6 +309,13 @@ MUTANTS = [
         "add_good / len(add_all) if add_all else 0.0",
         "add_good / len(add_cand) if add_cand else 0.0",
     ),
+    # a grid's count dict left in place after it ends, so sari keeps counts outside any grid
+    (
+        "grid-counts-scope-left-open",
+        "src/plainterm/evaluation.py",
+        "        _grid_counts.reset(scope)\n",
+        "        pass\n",
+    ),
 ]
 
 # left out of the copy: version control, caches and benchmark output

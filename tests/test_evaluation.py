@@ -27,6 +27,7 @@ from plainterm.evaluation import (
     sg_significance,
     simplification_gain,
 )
+import plainterm.evaluation as evaluation
 import plainterm.simplifier as simplifier
 from plainterm.simplifier import ScoreMemo, SimplifierConfig, simplify
 
@@ -333,6 +334,26 @@ def test_bleu_equals_frozen_slice_counting():
     assert nonzero >= 50
 
 
+@pytest.mark.parametrize(
+    "metric, args, name",
+    [
+        (sari, ("a b", "a b", "ab"), "references"),
+        (sari_components, ("a b", "a b", "ab"), "references"),
+        (mean_sari, ("ab", ["a", "b"], ["a", "b"]), "sources"),
+        (mean_sari, (["a", "b"], "ab", ["a", "b"]), "outputs"),
+        (mean_sari, (["a", "b"], ["a", "b"], "ab"), "references"),
+        (bleu, ("abcd", ["a", "b", "c", "d"]), "outputs"),
+        (bleu, (["a", "b", "c", "d"], "abcd"), "references"),
+    ],
+    ids=["sari", "sari_components", "mean_sari-sources", "mean_sari-outputs", "mean_sari-references",
+         "bleu-outputs", "bleu-references"],
+)
+def test_a_bare_str_is_not_a_list_of_sentences(metric, args, name):
+    # iterated, a str is one sentence per character: sari("a b", "a b", "ab") scored 5.56
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence of sentences, not a str$"):
+        metric(*args)
+
+
 class TestSignificance:
     def test_clearly_different_systems(self):
         p = sg_significance(HUMAN, NGRAM, iterations=10000, seed=42)
@@ -485,6 +506,50 @@ class TestGridSearch:
         # and a second call reaches the scorer again
         grid_search_alpha(pairs, table, scorer, freq)
         assert scorer.calls == {key: 2 * n for key, n in once.items()}
+
+    def test_curve_is_mean_sari_with_no_grid_open(self, two_stage, monkeypatch):
+        table, lm, _ = two_stage
+        # familiar words favour "elevated lipids in blood" at low alpha, so the finals change along the grid
+        freq = {"elevated": 0.9, "lipids": 0.9, "in": 0.9, "blood": 0.9, "high": 0.5}
+        pairs = [
+            ("Hyperlipidemia with elevated triglycerides .", "high fat in blood ."),
+            ("Hyperlipidemia with high triglycerides .", "Hyperlipidemia with high triglycerides ."),
+            ("Hyperlipidemia with high triglycerides .", "elevated lipids in blood with high triglycerides ."),
+        ]
+        sources, references = zip(*pairs)
+        scopes = []
+        inner = evaluation.sari
+
+        def recorded(*args):
+            scopes.append(evaluation._grid_counts.get())
+            return inner(*args)
+
+        monkeypatch.setattr(evaluation, "sari", recorded)
+        _, curve = grid_search_alpha(pairs, table, lm, freq)
+        monkeypatch.undo()
+        expected, finals = [], set()
+        for alpha in default_alpha_grid():
+            outputs = [simplify(source, table, lm, freq, SimplifierConfig(alpha=alpha)).final for source in sources]
+            finals.update(outputs)
+            expected.append((alpha, mean_sari(sources, outputs, references)))
+        assert len({score for _, score in curve}) > 1
+        assert curve == expected
+        assert repr(curve) == repr(expected)
+        # every sari call of the grid shares one count dict, which holds each distinct text once
+        counts = scopes[0]
+        assert len(scopes) == len(curve) * len(pairs)
+        assert all(scope is counts for scope in scopes)
+        assert counts.keys() == {*sources, *references, *finals}
+
+    def test_counts_scope_closes_on_return_and_on_raise(self, tune):
+        pairs, table, lm, freq = tune
+        grid_search_alpha(pairs, table, lm, freq)
+        assert evaluation._grid_counts.get() is None
+        # a blank source simplifies to a blank output, which SARI cannot score
+        blank = [*pairs, ("", "a reference .")]
+        with pytest.raises(ValueError, match=f"^line {len(blank)}: source and output are both empty$"):
+            grid_search_alpha(blank, table, lm, freq)
+        assert evaluation._grid_counts.get() is None
 
     def test_tokens_spans_and_wf_computed_once_for_the_whole_grid(self, two_stage, monkeypatch):
         table, lm, freq = two_stage
