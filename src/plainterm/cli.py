@@ -203,7 +203,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         if alpha in seen:
             raise UsageError(f"grid point {alpha!r} repeats")
         seen.add(alpha)
-    pairs = []
+    pairs, line_nos = [], []
     with open_text(args.dev) as fh:
         for line_no, (source, reference) in rows(fh, 2):
             # a blank source simplifies to a blank output, which SARI cannot score;
@@ -213,10 +213,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
             if not reference.split():
                 raise ValueError(f"line {line_no}: empty reference")
             pairs.append((source, reference))
+            line_nos.append(line_no)
     table, lm, freq = _load_models(args)
-    best_alpha, curve = evaluation.grid_search_alpha(
-        pairs, table, lm, freq, grid=grid, max_iterations=args.max_iterations
-    )
+    try:
+        best_alpha, curve = evaluation.grid_search_alpha(
+            pairs, table, lm, freq, grid=grid, max_iterations=args.max_iterations
+        )
+    except evaluation.DevPairError as exc:
+        # as in simplify, the scorer may have no score for a candidate; name the pair's line in --dev
+        raise ValueError(f"line {line_nos[exc.index]}: {exc.reason}") from None
     with _open_out(args.output) as out:
         out.write("alpha\tsari\n")
         for alpha, score in curve:

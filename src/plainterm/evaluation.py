@@ -40,6 +40,7 @@ __all__ = [
     "sg_significance",
     "alpha_range",
     "default_alpha_grid",
+    "DevPairError",
     "grid_search_alpha",
     "format_report",
 ]
@@ -390,6 +391,18 @@ def default_alpha_grid() -> list[float]:
     return sorted({*alpha_range(0.0, 1.0, 0.05), *alpha_range(0.9, 1.0, 0.01)})
 
 
+class DevPairError(ValueError):
+    """A dev pair grid_search_alpha could not simplify, with its 0-based index and the reason.
+
+    The message is the reason prefixed with the pair's 1-based line, as
+    mean_sari names a pair.
+    """
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"line {index + 1}: {reason}")
+        self.index, self.reason = index, reason
+
+
 def grid_search_alpha(
     dev_pairs: Sequence[tuple[str, str]],
     table: PhraseTable,
@@ -408,7 +421,8 @@ def grid_search_alpha(
     NgramModel is asked once per (pass input, span, label) row. Each grid
     point recomputes only the combined scores and their argmax. SARI still
     walks every (source, output, reference) triple at every grid point, but
-    each distinct text's n-grams are counted once for the whole grid.
+    each distinct text's n-grams are counted once for the whole grid. A
+    source the scorer cannot score raises DevPairError naming its pair.
     """
     pairs = list(dev_pairs)
     if not pairs:
@@ -423,7 +437,12 @@ def grid_search_alpha(
     try:
         for alpha in points:
             config = SimplifierConfig(alpha=alpha, max_iterations=max_iterations)
-            outputs = [simplify(source, table, memo, freq, config).final for source in sources]
+            outputs = []
+            for index, source in enumerate(sources):
+                try:
+                    outputs.append(simplify(source, table, memo, freq, config).final)
+                except ValueError as exc:
+                    raise DevPairError(index, str(exc)) from None
             curve.append((alpha, mean_sari(sources, outputs, references)))
     finally:
         _grid_counts.reset(scope)

@@ -135,7 +135,8 @@ class NgramModel:
         weights = []
         while (prob := probs.get(key)) is None:
             if k == 1:
-                raise ValueError(f"word {self._table.words[key]!r} not in model vocabulary")
+                # the word has an id, so it is in the model, but no 1-gram to back off to
+                raise ValueError(f"word {self._table.words[key]!r} has no 1-gram entry")
             weights.append(self._backoffs.get(key // base, 0.0))
             k -= 1
             key %= base**k

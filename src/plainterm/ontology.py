@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .textproc import rows, tokenize
+from .textproc import Token, rows, tokenize
 
 __all__ = [
     "Label",
@@ -43,10 +43,29 @@ class ConceptRecord:
 
 @dataclass(frozen=True, slots=True)
 class AlternativeGroup:
-    """A set of interchangeable phrases."""
+    """A set of interchangeable phrases, its labels stored sorted however they are given.
+
+    rank_span breaks a tie in favour of the smallest label, so a table ranks
+    the same whether it was built, read back or made by hand.
+
+    simplify writes each word of a chosen label as one token, and ScoreMemo
+    keys each pass input by its text, so each word must tokenize back to
+    that one token; ValueError is raised for any other ("fever.", "'s",
+    "two words", ""). No character's upper case is punctuation or
+    whitespace, so a word capitalized at a sentence start still does.
+    read_table, from_groups and align make only labels that do.
+    """
 
     group_id: int
     labels: tuple[Label, ...]
+
+    def __post_init__(self) -> None:
+        for label in self.labels:
+            for word in label:
+                if not (word.isalnum() or tokenize(word) == [Token(word, word.lower())]):
+                    raise ValueError(f"group {self.group_id}: label word {word!r} does not tokenize as itself")
+        # frozen, so the field is set past the dataclass's own __setattr__
+        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
 
 
 @dataclass
@@ -182,7 +201,8 @@ def align(records: Iterable[ConceptRecord], expand_plurals: bool = True) -> Phra
     for concept_id, label in first_label.items():
         root = find(label)
         smallest_id[root] = min(smallest_id.get(root, concept_id), concept_id)
-    ordered = sorted((smallest_id[root], sorted(labels)) for root, labels in members.items() if len(labels) > 1)
+    # each group has its own smallest concept id, so no two lists of labels are compared
+    ordered = sorted((smallest_id[root], labels) for root, labels in members.items() if len(labels) > 1)
     return PhraseTable([AlternativeGroup(gid, tuple(labels)) for gid, (_, labels) in enumerate(ordered)])
 
 
@@ -222,7 +242,7 @@ def _checked_groups(entries: Iterable[tuple[int, int | str, str]], place: str) -
         if len(first_wheres) < 2:
             where = next(iter(first_wheres.values()))
             raise ValueError(f"{place} {where}: group {group_id} has fewer than 2 labels")
-        groups.append(AlternativeGroup(group_id, tuple(sorted(first_wheres))))
+        groups.append(AlternativeGroup(group_id, tuple(first_wheres)))
     return groups
 
 

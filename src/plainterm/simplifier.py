@@ -23,6 +23,9 @@ _NORM = attrgetter("norm")
 _Row = tuple[Label, tuple[str, ...], float, float]
 # a pass input or output: its tokens, their norms and its text
 _Pass = tuple[tuple[Token, ...], tuple[str, ...], str]
+# what a memo keeps of a pass input: its record, each of its spans with that
+# span's rows, and its output for each pick of every span
+_Entry = tuple[_Pass, list[tuple[Span, list[_Row]]], dict[tuple[Label, ...], _Pass]]
 
 __all__ = [
     "Candidate",
@@ -137,14 +140,13 @@ class ScoreMemo:
     context, and as many pads as that context lacks. Only a sentence's first
     pass input is scored whole; output splices each pass output's base from
     its pass input's in the walk that makes the output. It keeps the wf
-    score of each label, each input sentence's first pass record (tokens,
-    simplify), for each distinct pass input, keyed by its norms, its spans,
-    each paired with its rows (rows, simplify_once), and each pass output,
-    keyed by its pass input's tokens and the pick of each span (outputs,
-    output). Only rank_span's combined score and argmax depend on alpha, so
-    grid_search_alpha shares one memo across its whole grid, and a grid
-    point that picks what an earlier one picked on the same pass input
-    reuses that pass's output.
+    score of each label (wfs), and in passes, keyed by each distinct pass
+    input's text, that input's (tokens, norms, text) record, its spans each
+    paired with its rows (rows), and its output for each pick of every span
+    (output); only simplify_once makes an entry. Only rank_span's combined
+    score and argmax depend on alpha, so grid_search_alpha shares one memo
+    across its whole grid, and a grid point that picks what an earlier one
+    picked on the same pass input reuses that pass's output.
 
     It keeps everything it has seen, so make one per call that simplifies
     many overlapping sentences and let it go when that call returns.
@@ -159,13 +161,8 @@ class ScoreMemo:
         # (words, start pads) -> NgramModel.logprobs(words, pads)
         self.logps: dict[tuple[tuple[str, ...], int], list[float]] = {}
         self.wfs: dict[Label, float] = {}
-        # sentence -> its first pass input, (tokens, norms, sentence)
-        self.tokens: dict[str, _Pass] = {}
-        # norms -> (span, its rows) for each span of that pass input
-        self.spans: dict[tuple[str, ...], list[tuple[Span, list[_Row]]]] = {}
-        # (pass input tokens, the pick of each span) -> that pass's output; the
-        # key holds texts, not norms, as case variants write different text
-        self.outputs: dict[tuple[tuple[Token, ...], tuple[Label, ...]], _Pass] = {}
+        # pass input text -> its entry; keyed by text, not norms, as case variants write different text
+        self.passes: dict[str, _Entry] = {}
 
     def _logprobs(self, words: tuple[str, ...], pads: int) -> list[float]:
         key = (words, pads)
@@ -199,7 +196,7 @@ class ScoreMemo:
         same float, so the score equals NgramModel.score of the sentence. Any
         other scorer is asked for each row's whole sentence. The wf score sees
         the bare term and is computed once per label. Only simplify_once keeps
-        rows (spans); each call makes them afresh.
+        rows (passes); each call makes them afresh.
         """
         start, end = span.start, span.end
         base = None if self.n is None else self._logprobs(norms, self.n)
@@ -218,13 +215,12 @@ class ScoreMemo:
             rows.append((label, sent, lm_score, wf_score))
         return rows
 
-    def output(self, current: _Pass, picks: tuple[Label, ...], replacements: Sequence[Replacement]) -> _Pass:
+    def output(self, current: _Pass, replacements: Sequence[Replacement]) -> _Pass:
         """The pass record of current with each replacement's chosen term spliced in.
 
-        This is the one place a pass's replacements are applied. picks is the
-        pick of every span of the pass, kept ones too; with current's tokens
-        it keys outputs, so an output is made once per memo. Making it walks
-        the replacements right to left, so each span's offsets in current
+        This is the one place a pass's replacements are applied; it looks
+        nothing up in passes, and simplify_once keeps what it returns. It
+        walks the replacements right to left, so each span's offsets in current
         still hold: a span at 0 is capitalized, each new token's norm is taken
         after capitalization, as tokenize would take it ("ß" is written "SS",
         whose norm is "ss"), and the tokens and their norms are spliced in.
@@ -235,25 +231,21 @@ class ScoreMemo:
         base that input already has.
         """
         tokens, norms, _ = current
-        key = (tokens, picks)
-        output = self.outputs.get(key)
-        if output is None:
-            base = None if self.n is None else self._logprobs(norms, self.n)
-            out, sent = list(tokens), norms
-            for rep in reversed(replacements):
-                start, end = rep.span.start, rep.span.end
-                words = list(rep.chosen)
-                if start == 0:
-                    words[0] = words[0][:1].upper() + words[0][1:]
-                new = [Token(w, w.lower()) for w in words]
-                out[start:end] = new
-                sent = (*sent[:start], *map(_NORM, new), *sent[end:])
-                if base is not None:
-                    base = self._splice(base, sent, start, end, len(words))
+        base = None if self.n is None else self._logprobs(norms, self.n)
+        out, sent = list(tokens), norms
+        for rep in reversed(replacements):
+            start, end = rep.span.start, rep.span.end
+            words = list(rep.chosen)
+            if start == 0:
+                words[0] = words[0][:1].upper() + words[0][1:]
+            new = [Token(w, w.lower()) for w in words]
+            out[start:end] = new
+            sent = (*sent[:start], *map(_NORM, new), *sent[end:])
             if base is not None:
-                self.logps.setdefault((sent, self.n), base)
-            output = self.outputs[key] = tuple(out), sent, detokenize(out)
-        return output
+                base = self._splice(base, sent, start, end, len(words))
+        if base is not None:
+            self.logps.setdefault((sent, self.n), base)
+        return tuple(out), sent, detokenize(out)
 
 
 def rank_span(rows: Sequence[_Row], span: Span, alpha: float) -> tuple[Label, tuple[Candidate, ...]]:
@@ -280,16 +272,22 @@ def rank_span(rows: Sequence[_Row], span: Span, alpha: float) -> tuple[Label, tu
 def simplify_once(current: _Pass, memo: ScoreMemo, config: SimplifierConfig) -> tuple[_Pass, list[Replacement]]:
     """Run one pass on current, a (tokens, norms, text) record: rank every span and apply the winners.
 
-    All spans are ranked against the same pass input. The memo keeps each
-    distinct pass input's spans with their rows, keyed by its norms, and each
-    span is ranked once by rank_span. Returns (output, replacements), output
-    being the record ScoreMemo.output makes or finds for this pass's picks;
-    a pass that rewrites nothing returns current itself and stores nothing.
+    All spans are ranked against the same pass input. This is the one place
+    an entry of memo.passes is made: current's text is looked up once, a
+    miss stores current and its spans with their rows, and each span is
+    ranked once by rank_span. Returns (output, replacements), output being
+    the one the entry holds for this pass's picks, which ScoreMemo.output
+    makes on a miss; a pass that rewrites nothing returns current itself and
+    stores no output. The text is a sound key: current's tokens are tokenize
+    of its text, for a sentence and for an output alike, as AlternativeGroup
+    refuses a label word that does not tokenize as itself.
     """
-    tokens, norms, _ = current
-    spans = memo.spans.get(norms)
-    if spans is None:
-        spans = memo.spans[norms] = [(span, memo.rows(norms, span)) for span in extract_spans(tokens, memo.table)]
+    tokens, norms, text = current
+    entry = memo.passes.get(text)
+    if entry is None:
+        spans = [(span, memo.rows(norms, span)) for span in extract_spans(tokens, memo.table)]
+        entry = memo.passes[text] = current, spans, {}
+    _, spans, outputs = entry
     alpha = config.alpha
     picks: list[Label] = []
     replacements: list[Replacement] = []
@@ -301,7 +299,11 @@ def simplify_once(current: _Pass, memo: ScoreMemo, config: SimplifierConfig) -> 
             replacements.append(Replacement(span, chosen, candidates))
     if not replacements:
         return current, replacements
-    return memo.output(current, tuple(picks), replacements), replacements
+    key = tuple(picks)
+    output = outputs.get(key)
+    if output is None:
+        output = outputs[key] = memo.output(current, replacements)
+    return output, replacements
 
 
 def simplify(
@@ -320,12 +322,12 @@ def simplify(
     A ScoreMemo passed in keeps all it computes for later calls, at any
     alpha; it must be bound to this table and this frequency table, or
     ValueError is raised. Each pass input is a (tokens, norms, text) record:
-    the first is the memo's record of the sentence, and each later one the
-    output the pass before returned. Iteration stops when a pass returns a
-    record whose norms were an earlier pass input's: a pass that rewrites
-    nothing returns its input (converged), and any other is a cycle. The
-    final text is the last record's, so a sentence nothing rewrote comes
-    back verbatim.
+    the first is the sentence's, which the memo holds once a pass has run on
+    it, and each later one the output the pass before returned. Iteration
+    stops when a pass returns a record whose norms were an earlier pass
+    input's: a pass that rewrites nothing returns its input (converged), and
+    any other is a cycle. The final text is the last record's, so a sentence
+    nothing rewrote comes back verbatim.
     """
     if isinstance(lm, ScoreMemo):
         memo = lm
@@ -333,10 +335,12 @@ def simplify(
             raise ValueError("a ScoreMemo serves one phrase table and one frequency table")
     else:
         memo = ScoreMemo(lm, table, freq)
-    current = memo.tokens.get(sentence)
-    if current is None:
+    entry = memo.passes.get(sentence)
+    if entry is None:
         tokens = tuple(tokenize(sentence))
-        current = memo.tokens[sentence] = tokens, tuple(map(_NORM, tokens)), sentence
+        current = tokens, tuple(map(_NORM, tokens)), sentence
+    else:
+        current = entry[0]
     trace: list[tuple[Replacement, ...]] = []
     if current[0]:
         seen = {current[1]}

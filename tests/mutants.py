@@ -61,8 +61,8 @@ MUTANTS = [
     (
         "output-base-keyed-with-no-pads",
         "src/plainterm/simplifier.py",
-        "if output is None:\n            base = None if self.n is None else self._logprobs(norms, self.n)",
-        "if output is None:\n            base = None if self.n is None else self._logprobs(norms, 0)",
+        "_ = current\n        base = None if self.n is None else self._logprobs(norms, self.n)",
+        "_ = current\n        base = None if self.n is None else self._logprobs(norms, 0)",
     ),
     # the carried base stored where the next pass does not look, which then scores its input whole
     (
@@ -75,7 +75,7 @@ MUTANTS = [
     (
         "output-base-not-carried",
         "src/plainterm/simplifier.py",
-        "            if base is not None:\n                self.logps.setdefault((sent, self.n), base)\n",
+        "        if base is not None:\n            self.logps.setdefault((sent, self.n), base)\n",
         "",
     ),
     # every window read after a full context of start pads, whatever its place in the sentence
@@ -105,26 +105,26 @@ MUTANTS = [
         "math.fsum(logps) / len(sent)",
         "math.fsum(logps) / len(norms)",
     ),
-    # one memo entry for sentences that differ only in case, so the second gets the first's tokens
+    # a sentence's first pass looked up by its lowercase, so it gets a case variant's record
     (
         "tokens-memo-keyed-by-lowercase",
         "src/plainterm/simplifier.py",
-        "current = memo.tokens.get(sentence)\n    if current is None:\n        tokens = tuple(tokenize(sentence))\n        current = memo.tokens[sentence] =",
-        "current = memo.tokens.get(sentence.lower())\n    if current is None:\n        tokens = tuple(tokenize(sentence))\n        current = memo.tokens[sentence.lower()] =",
+        "entry = memo.passes.get(sentence)",
+        "entry = memo.passes.get(sentence.lower())",
     ),
-    # one stored pass output for case variants, which share norms but not text
+    # one memo entry for case variants, which share norms but not text, so the second gets the first's outputs
     (
         "outputs-memo-keyed-by-norms",
         "src/plainterm/simplifier.py",
-        "key = (tokens, picks)",
-        "key = (norms, picks)",
+        "tokens, norms, text = current\n    entry",
+        "tokens, norms, text = current\n    text = \" \".join(norms)\n    entry",
     ),
     # one stored pass output per pass input, so every grid point reuses the first one's rewrite
     (
         "outputs-memo-without-picks",
         "src/plainterm/simplifier.py",
-        "key = (tokens, picks)",
-        "key = tokens",
+        "key = tuple(picks)",
+        "key = ()",
     ),
     # rank_span's tie rule: an exact tie in combined goes to the higher lm score
     (
@@ -251,12 +251,19 @@ MUTANTS = [
         "self._by_id = {g.group_id: g for g in self.groups}",
         "self._by_id = dict(enumerate(self.groups))",
     ),
+    # a hand-made label word such as "fever." kept, whose output text tokenizes to other tokens
+    (
+        "label-words-unchecked",
+        "src/plainterm/ontology.py",
+        "if not (word.isalnum() or tokenize(word) == [Token(word, word.lower())]):",
+        "if False:",
+    ),
     # labels kept in file order, so an exact tie goes to whichever row came first
     (
         "labels-in-file-order",
         "src/plainterm/ontology.py",
-        "groups.append(AlternativeGroup(group_id, tuple(sorted(first_wheres))))",
-        "groups.append(AlternativeGroup(group_id, tuple(first_wheres)))",
+        'object.__setattr__(self, "labels", tuple(sorted(self.labels)))',
+        'object.__setattr__(self, "labels", tuple(self.labels))',
     ),
     (
         "span-lengths-shortest-first",

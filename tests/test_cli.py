@@ -406,6 +406,30 @@ class TestTune:
         assert run(args) == 2
         assert capsys.readouterr().err == f"usage error: grid point {point} repeats\n"
 
+    @pytest.mark.parametrize(
+        "lm, message",
+        [
+            (None, "no stored score for 'the bar was high'"),
+            ("arpa", "word 'high' not in model vocabulary and model has no <unk>"),
+        ],
+    )
+    def test_unscorable_pair_names_its_line(self, data_dir, tmp_path, capsys, lm, message):
+        # the failing pair is the second pair but sits on line 4, after a comment and a blank line
+        dev = tmp_path / "dev.tsv"
+        dev.write_text("foo .\tbar .\n# a comment\n\nthe bar was high\tthe x was high\n")
+        args = self.tune_args(data_dir)
+        args[args.index("--dev") + 1] = str(dev)
+        if lm == "arpa":
+            arpa = tmp_path / "lm.arpa"
+            # no <unk>, and no "high"
+            unigrams = "".join(f"-0.5\t{word}\n" for word in ("foo", "bar", ".", "the", "was"))
+            arpa.write_text(f"\\data\\\nngram 1=5\n\n\\1-grams:\n{unigrams}\n\\end\\\n")
+            args[args.index("--lm") + 1] = str(arpa)
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 4: {message}\n"
+
     @pytest.mark.parametrize("spec, bad", [("0.5,1.5", "1.5"), ("0.5,nan", "nan")])
     def test_out_of_range_alpha_is_usage_error_before_any_load(self, data_dir, tmp_path, capsys, spec, bad):
         args = self.tune_args(data_dir, ["--grid", spec])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from plainterm.evaluation import (
     MAX_BOOTSTRAP_ITERATIONS,
     MAX_REPLICATIONS,
+    DevPairError,
     EvalCounts,
     JudgmentRecord,
     aggregate_judgments,
@@ -427,6 +428,13 @@ class TestGridSearch:
         for alpha, score in curve:
             assert score == (high if alpha >= 0.5 else low)
 
+    def test_an_unscorable_source_raises_naming_its_pair(self, tune):
+        pairs, table, lm, freq = tune
+        dev = [*pairs, ("the bar was high", "the x was high")]
+        with pytest.raises(DevPairError, match="^line 2: no stored score for 'the bar was high'$") as info:
+            grid_search_alpha(dev, table, lm, freq)
+        assert (info.value.index, info.value.reason) == (1, "no stored score for 'the bar was high'")
+
     def test_curve_is_monotone_step(self, tune):
         pairs, table, lm, freq = tune
         _, curve = grid_search_alpha(pairs, table, lm, freq)
@@ -471,10 +479,10 @@ class TestGridSearch:
                 memo = ScoreMemo(lm, table, freq)
                 shared = over_grid(pairs, table, memo, freq, grid)
                 # one output per distinct pass input and picks, and a second walk adds none
-                assert len(memo.outputs) == len(passes)
-                outputs = dict(memo.outputs)
+                outputs = {text: dict(outs) for text, (_, _, outs) in memo.passes.items()}
+                assert sum(map(len, outputs.values())) == len(passes)
                 assert over_grid(pairs, table, memo, freq, grid) == shared
-                assert memo.outputs == outputs
+                assert {text: outs for text, (_, _, outs) in memo.passes.items()} == outputs
                 fresh = over_grid(pairs, table, lm, freq, grid)
                 assert shared == fresh
                 assert repr(shared) == repr(fresh)
@@ -487,7 +495,7 @@ class TestGridSearch:
         memo = ScoreMemo(shared, table, freq)
         over_grid(pairs, table, memo, freq, default_alpha_grid())
         once = dict(shared.calls)
-        assert sum(once.values()) == sum(len(rows) for spans in memo.spans.values() for _, rows in spans)
+        assert sum(once.values()) == sum(len(rows) for _, spans, _ in memo.passes.values() for _, rows in spans)
         # a second walk on the same memo asks nothing
         over_grid(pairs, table, memo, freq, default_alpha_grid())
         assert shared.calls == once

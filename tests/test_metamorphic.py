@@ -12,6 +12,7 @@ from plainterm.evaluation import grid_search_alpha
 from plainterm.ngram_lm import train
 from plainterm.ontology import normalize_label, read_table
 from plainterm.simplifier import ScoreMemo, SimplifierConfig, simplify
+from plainterm.textproc import tokenize
 from plainterm.wordfreq import FrequencyTable
 
 # "e" and "f." occur in no corpus, so the model reads them as <unk>, and
@@ -136,6 +137,12 @@ def test_sentences_alone_in_any_order_or_through_one_memo_give_equal_results(
     shared = {i: simplify(sentences[i], table, memo, freq, config).to_dict() for i in positions}
     assert [shuffled[i] for i in range(len(sentences))] == alone
     assert [shared[i] for i in range(len(sentences))] == alone
+    # the memo keys each pass input by its text, which is sound only if the
+    # text tokenizes back to the record's tokens, whose norms are lowercased
+    for text, ((tokens, norms, record_text), _, _) in memo.passes.items():
+        assert record_text == text
+        assert tuple(tokenize(text)) == tokens
+        assert norms == tuple(token.text.lower() for token in tokens)
 
 
 @given(

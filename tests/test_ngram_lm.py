@@ -139,6 +139,13 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="^word 'zzz' not in model vocabulary$"):
             model.logprob([], "zzz")
 
+    def test_a_vocabulary_word_with_no_unigram_is_named_as_such(self):
+        model = NgramModel(3, {("c",): -0.3, (UNK,): -1.0}, {}, frozenset("abc") | {UNK})
+        calls = (lambda: model.score(["a"]), lambda: model.logprobs(["a"], 2), lambda: model.logprob([], "a"))
+        for call in calls:
+            with pytest.raises(ValueError, match="^word 'a' has no 1-gram entry$"):
+                call()
+
     def test_train_validates_parameters(self):
         with pytest.raises(ValueError, match="order"):
             train(["a"], order=0)

@@ -16,7 +16,9 @@ from plainterm.ontology import (
     read_table,
     write_table,
 )
+from plainterm.simplifier import SimplifierConfig, simplify
 from plainterm.textproc import extract_spans, tokenize
+from plainterm.wordfreq import FrequencyTable
 
 from oracles import component_label_sets, naive_plural
 
@@ -216,6 +218,28 @@ class TestPhraseTable:
         buf.seek(0)
         again = read_table(buf)
         assert again.groups == table.groups
+
+    def test_labels_are_stored_sorted_however_the_table_is_made(self, constant):
+        by_hand = PhraseTable([AlternativeGroup(0, (("pyrexia",), ("fever",)))])
+        buf = io.StringIO()
+        write_table(by_hand, buf)
+        buf.seek(0)
+        tables = [by_hand, read_table(buf), PhraseTable.from_groups([["pyrexia", "fever"]])]
+        assert [group.labels for table in tables for group in table.groups] == [(("fever",), ("pyrexia",))] * 3
+        # both labels tie on lm and on wf, and rank_span gives an exact tie to the smallest label
+        for table in tables:
+            result = simplify("pyrexia noted .", table, constant(-1.0), FrequencyTable({}), SimplifierConfig())
+            assert result.final == "Fever noted ."
+
+    @pytest.mark.parametrize("word", ["fever.", "'s", "(x", "two words", "tab\tbed", ""])
+    def test_a_label_word_that_does_not_tokenize_as_itself_is_refused(self, word):
+        with pytest.raises(ValueError, match=r"group 3: label word .* does not tokenize as itself"):
+            AlternativeGroup(3, (("pyrexia",), ("high", word)))
+
+    def test_label_words_that_tokenize_as_themselves_are_kept(self):
+        # interior punctuation, a lone mark and an upper-case letter stay one token
+        labels = (("x-ray",), ("3.5",), (".",), ("Fever",), ("it's", "ß"))
+        assert AlternativeGroup(0, labels).labels == tuple(sorted(labels))
 
     def test_read_rejects_singleton_group(self):
         with pytest.raises(ValueError, match="fewer than 2"):

@@ -272,8 +272,8 @@ class TestSimplifyOnce:
         result = simplify("Hyperlipidemia with elevated triglycerides .", table, memo, freq, SimplifierConfig(alpha=1.0))
         assert [len(passes) for passes in result.trace] == [2, 1, 0]
         # every pass input has two spans, so the second pass keeps one and the third both
-        assert [len(spans) for spans in memo.spans.values()] == [2, 2, 2]
-        held = [(rows, span) for spans in memo.spans.values() for span, rows in spans]
+        assert [len(spans) for _, spans, _ in memo.passes.values()] == [2, 2, 2]
+        held = [(rows, span) for _, spans, _ in memo.passes.values() for span, rows in spans]
         # one call per span of each pass, on the rows the memo holds for it
         assert len(calls) == len(held) == 6
         assert all(rows is held_rows and span == held_span for (rows, span, _), (held_rows, held_span) in zip(calls, held))
@@ -283,10 +283,10 @@ class TestSimplifyOnce:
         # a pass that rewrites nothing still ranks each span once, and builds no candidates
         calls.clear()
         current = pass_input(result.final)
-        outputs = dict(memo.outputs)
+        outputs = {text: dict(outs) for text, (_, _, outs) in memo.passes.items()}
         output, reps = simplify_once(current, memo, SimplifierConfig(alpha=1.0))
         assert output is current and reps == []
-        assert memo.outputs == outputs
+        assert {text: outs for text, (_, _, outs) in memo.passes.items()} == outputs
         assert [(span, ranked) for _, span, ranked in calls] == [(span, (span.matched, ())) for _, span in held[-2:]]
 
 
@@ -369,7 +369,7 @@ class TestScoreMemo:
         result = self.run(two_stage, memo)
         assert result.iterations == 2
         # exactly one call per (pass input, span, label) row, for that row's sentence
-        held = [rows for spans in memo.spans.values() for _, rows in spans]
+        held = [rows for _, spans, _ in memo.passes.values() for _, rows in spans]
         assert sum(scorer.calls.values()) == sum(map(len, held))
         assert scorer.calls == Counter(sent for rows in held for _, sent, _, _ in rows)
         # each span's keep-the-original candidate is the pass input itself,
@@ -389,9 +389,28 @@ class TestScoreMemo:
         memo = ScoreMemo(scorer, table, freq)
         first = self.run(two_stage, memo)
         once = dict(scorer.calls)
-        assert sum(once.values()) == sum(len(rows) for spans in memo.spans.values() for _, rows in spans)
+        assert sum(once.values()) == sum(len(rows) for _, spans, _ in memo.passes.values() for _, rows in spans)
         assert self.run(two_stage, memo) == first
         assert scorer.calls == once
+
+    def test_a_shared_memo_gives_what_fresh_memos_give_on_a_table_made_by_hand(self):
+        # passes is keyed by text, so an output whose text tokenized to other tokens
+        # would be served for that text; a label word like "fever." is refused
+        with pytest.raises(ValueError, match="'fever.' does not tokenize as itself"):
+            AlternativeGroup(0, (("pyrexia",), ("fever.",)))
+        table = PhraseTable([AlternativeGroup(0, (("pyrexia",), ("fever", ".")))])
+        # the scorer prefers "pyrexia", the frequency table "fever" and "."
+        lm = LookupScorer({"pyrexia": -1.0, "fever .": -2.0, "pyrexia noted": -1.0, "fever . noted": -2.0})
+        freq = FrequencyTable({"fever": 0.5, ".": 0.5})
+        sentences = ["pyrexia", "Fever .", "Fever.", "pyrexia noted", "Fever . noted"]
+        memo = ScoreMemo(lm, table, freq)
+        for alpha in (0.0, 1.0, 0.0):
+            config = SimplifierConfig(alpha=alpha)
+            for sentence in sentences:
+                shared = simplify(sentence, table, memo, freq, config)
+                assert shared == simplify(sentence, table, lm, freq, config)
+        assert simplify("Fever.", table, memo, freq, SimplifierConfig(alpha=1.0)).final == "Pyrexia"
+        assert simplify("pyrexia", table, memo, freq, SimplifierConfig(alpha=0.0)).final == "Fever ."
 
     def test_a_memo_serves_one_table_and_one_frequency_table(self, two_stage):
         table, lm, freq = two_stage
